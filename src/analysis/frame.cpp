@@ -1,141 +1,34 @@
 #include "analysis/frame.hpp"
 
-#include <algorithm>
-#include <string_view>
-
-#include "cosim/worker.hpp"
-#include "ipc/message.hpp"
-#include "util/hex.hpp"
+#include <vector>
 
 namespace nisc::analysis {
 
-namespace {
-
-/// Worker dialect: {u32 body_len, u8 op, u64 seq, payload [| u64 trace_id,
-/// u32 "FTID"]}. Mirrors cosim::recv_frame's validation, including the
-/// length+magic rule for the optional trace trailer.
-std::size_t check_worker_frames(std::span<const std::uint8_t> buffer, DiagEngine& diags,
-                                const std::string& origin) {
-  std::size_t good = 0;
-  std::size_t offset = 0;
-  int ordinal = 0;
-  while (offset < buffer.size()) {
-    ++ordinal;
-    SourceLoc loc{origin, ordinal, 0};
-    const std::size_t remaining = buffer.size() - offset;
-    if (remaining < 4) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "worker frame #" + std::to_string(ordinal) + " at offset " +
-                       std::to_string(offset) + ": only " + std::to_string(remaining) +
-                       " byte(s) left, length field needs 4",
-                   loc);
-      break;
-    }
-    const std::uint32_t len = util::read_le(buffer.subspan(offset), 4);
-    if (len < 1 + 8 || len > cosim::kMaxWorkerFrame) {
-      diags.report(Severity::Error, "frame.oversized",
-                   "worker frame #" + std::to_string(ordinal) + " at offset " +
-                       std::to_string(offset) + ": body length " + std::to_string(len) +
-                       " outside [9, " + std::to_string(cosim::kMaxWorkerFrame) +
-                       "]; stopping scan",
-                   loc);
-      break;
-    }
-    if (remaining - 4 < len) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "worker frame #" + std::to_string(ordinal) + " at offset " +
-                       std::to_string(offset) + ": body needs " + std::to_string(len) +
-                       " bytes but only " + std::to_string(remaining - 4) + " remain",
-                   loc);
-      break;
-    }
-    const std::span<const std::uint8_t> body = buffer.subspan(offset + 4, len);
-    const auto op = static_cast<cosim::WorkerOp>(body[0]);
-    const std::string_view name = cosim::worker_op_name(op);
-    if (name == "?") {
-      diags.report(Severity::Error, "frame.malformed",
-                   "worker frame #" + std::to_string(ordinal) + ": unknown op " +
-                       std::to_string(static_cast<unsigned>(body[0])),
-                   loc);
-    } else {
-      std::size_t payload_len = len - (1 + 8);
-      const std::size_t fixed = cosim::worker_op_fixed_payload(op);
-      if (fixed != 0 && payload_len == fixed + 12 &&
-          util::read_le(body.subspan(1 + 8 + fixed + 8), 4) == cosim::kFrameTraceMagic) {
-        payload_len = fixed;  // trace-id trailer, not payload
-      }
-      if (fixed != 0 && payload_len != fixed) {
-        diags.report(Severity::Error, "frame.malformed",
-                     "worker frame #" + std::to_string(ordinal) + " (" + std::string(name) +
-                         "): payload is " + std::to_string(payload_len) + " byte(s), op fixes " +
-                         std::to_string(fixed),
-                     loc);
-      } else {
-        ++good;
-      }
-    }
-    offset += 4 + len;
-  }
-  return good;
-}
-
-}  // namespace
-
 std::size_t check_frames(std::span<const std::uint8_t> buffer, DiagEngine& diags,
-                         const std::string& origin, FrameDialect dialect) {
-  if (dialect == FrameDialect::Worker) return check_worker_frames(buffer, diags, origin);
+                         const std::string& origin, WireFormat format) {
+  StreamDecoder decoder(format, /*toward_target=*/true);
+  std::vector<WireSymbol> symbols;
+  decoder.feed(buffer, symbols);
   std::size_t good = 0;
-  std::size_t offset = 0;
-  int ordinal = 0;
-  while (offset < buffer.size()) {
-    ++ordinal;
-    SourceLoc loc{origin, ordinal, 0};
-    std::size_t remaining = buffer.size() - offset;
-    if (remaining < 4) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "frame #" + std::to_string(ordinal) + " at offset " + std::to_string(offset) +
-                       ": only " + std::to_string(remaining) +
-                       " byte(s) left, size field needs 4",
-                   loc);
-      break;
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    const int ordinal = static_cast<int>(i + 1);
+    if (!symbols[i].malformed) {
+      ++good;
+      continue;
     }
-    std::uint32_t size = util::read_le(buffer.subspan(offset), 4);
-    if (size > ipc::kMaxMessageBody) {
-      diags.report(Severity::Error, "frame.oversized",
-                   "frame #" + std::to_string(ordinal) + " at offset " + std::to_string(offset) +
-                       ": packet_size " + std::to_string(size) + " exceeds the " +
-                       std::to_string(ipc::kMaxMessageBody) + "-byte limit; stopping scan",
-                   loc);
-      break;
-    }
-    if (remaining - 4 < size) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "frame #" + std::to_string(ordinal) + " at offset " + std::to_string(offset) +
-                       ": body needs " + std::to_string(size) + " bytes but only " +
-                       std::to_string(remaining - 4) + " remain",
-                   loc);
-      break;
-    }
-    std::span<const std::uint8_t> body = buffer.subspan(offset + 4, size);
-    auto decoded = ipc::decode_message_body(body);
-    if (!decoded.ok()) {
-      diags.report(Severity::Error, "frame.malformed",
-                   "frame #" + std::to_string(ordinal) + ": " + decoded.error(), loc);
-    } else {
-      std::vector<std::uint8_t> reencoded = ipc::encode_message(decoded.value());
-      std::span<const std::uint8_t> original = buffer.subspan(offset, 4 + size);
-      if (!std::equal(reencoded.begin(), reencoded.end(), original.begin(), original.end())) {
-        diags.report(Severity::Warning, "frame.roundtrip",
-                     "frame #" + std::to_string(ordinal) +
-                         " decodes but is not canonical: re-encoding yields " +
-                         std::to_string(reencoded.size()) + " bytes vs " +
-                         std::to_string(4 + size) + " on the wire",
-                     loc);
-      } else {
-        ++good;
-      }
-    }
-    offset += 4 + size;
+    // A wedged decoder stops at the symbol that wedged it: the last one.
+    const bool wedge = decoder.wedged() && i + 1 == symbols.size();
+    diags.report(Severity::Error, wedge ? "frame.oversized" : "frame.malformed",
+                 "frame #" + std::to_string(ordinal) + ": " + symbols[i].detail +
+                     (wedge ? "; stopping scan" : ""),
+                 SourceLoc{origin, ordinal, 0});
+  }
+  if (!decoder.wedged() && decoder.pending() > 0) {
+    const int ordinal = static_cast<int>(symbols.size() + 1);
+    diags.report(Severity::Error, "frame.truncated",
+                 "frame #" + std::to_string(ordinal) + ": buffer ends " +
+                     std::to_string(decoder.pending()) + " byte(s) into the frame",
+                 SourceLoc{origin, ordinal, 0});
   }
   return good;
 }

@@ -1,25 +1,20 @@
 // Wire-protocol frame validator (paper §4.2).
 //
-// Validates a buffer holding zero or more concatenated framed messages in
-// one of two dialects:
-//  * DriverKernel: {u32 packet_size, body} as produced by
-//    ipc::encode_message. Each body is decoded with ipc::decode_message_body
-//    and re-encoded; a decode failure or a round-trip mismatch is a defect
-//    in the sender.
-//  * Worker: {u32 body_len, u8 op, u64 seq, payload} as produced by
-//    cosim::send_frame. Fixed-payload ops may carry the optional 12-byte
-//    FTID trace-id trailer, which is recognised by length + closing magic
-//    and is NOT a defect (postmortem captures of traced sessions must not
-//    false-positive on it).
+// Validates a buffer holding zero or more concatenated frames of one wire
+// by running it through the StreamDecoder the conformance monitor uses, so
+// the validator, the monitor and the wire's own reader share one parser per
+// wire: ipc/message for Driver-Kernel frames ({u32 packet_size, body}, as
+// produced by ipc::encode_message), cosim/worker for worker frames
+// ({u32 body_len, u8 op, u64 seq, payload}, as produced by
+// cosim::send_frame; the optional FTID trace-id trailer is not a defect).
 //
 // Rules:
-//  * frame.truncated (error): buffer ends inside a size field or a body.
-//  * frame.oversized (error): the size field exceeds the dialect's limit
-//    (corrupt size field; scanning stops — resynchronisation is hopeless).
-//  * frame.malformed (error): body fails to decode (bad type / unknown op,
-//    truncated item, payload length off for a fixed-payload op).
-//  * frame.roundtrip (warning): body decodes but re-encoding differs —
-//    the frame is readable but not canonical (DriverKernel only).
+//  * frame.truncated (error): buffer ends inside a frame.
+//  * frame.oversized (error): a length field breaks the wire's header rule
+//    (corrupt length; scanning stops — resynchronisation is hopeless).
+//  * frame.malformed (error): a body breaks the wire's body rule
+//    (Driver-Kernel: bad type or truncated item; Worker: unknown op or a
+//    fixed-payload op with the wrong payload length).
 //
 // The reported SourceLoc uses `file` for the buffer's origin and `line` for
 // the 1-based frame ordinal within it.
@@ -30,19 +25,14 @@
 #include <string>
 
 #include "analysis/diag.hpp"
+#include "analysis/protocol.hpp"
 
 namespace nisc::analysis {
 
-/// Which framing dialect check_frames validates.
-enum class FrameDialect : std::uint8_t {
-  DriverKernel,  ///< ipc::encode_message frames
-  Worker,        ///< cosim::send_frame frames (supervisor <-> worker wire)
-};
-
 /// Validates every frame in `buffer`; returns the number of well-formed
-/// frames (decoded and canonical).
+/// frames.
 std::size_t check_frames(std::span<const std::uint8_t> buffer, DiagEngine& diags,
                          const std::string& origin = "<frames>",
-                         FrameDialect dialect = FrameDialect::DriverKernel);
+                         WireFormat format = WireFormat::DriverKernel);
 
 }  // namespace nisc::analysis

@@ -651,15 +651,6 @@ WireSymbol classify_rsp(const std::string& payload, bool toward_target) {
   return sym;
 }
 
-std::uint32_t read_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
-namespace {
-
 int worker_symbol_of(cosim::WorkerOp op) noexcept {
   switch (op) {
     case cosim::WorkerOp::Hello: return kWkHello;
@@ -678,6 +669,26 @@ int worker_symbol_of(cosim::WorkerOp op) noexcept {
     case cosim::WorkerOp::ObsReport: return kWkObsReport;
   }
   return -1;
+}
+
+WireSymbol classify_message(std::span<const std::uint8_t> body) {
+  util::Result<ipc::DriverMessage> msg = ipc::decode_message_body(body);
+  if (!msg.ok()) return WireSymbol{kDkGarbage, true, msg.error()};
+  const ipc::DriverMessage& m = msg.value();
+  return WireSymbol{static_cast<int>(m.type), false,
+                    std::string(ipc::msg_type_name(m.type)) + "(" +
+                        std::to_string(m.items.size()) + " item(s)" +
+                        (m.items.empty() ? "" : ", " + m.items.front().port) + ")"};
+}
+
+WireSymbol classify_worker_frame(std::span<const std::uint8_t> body) {
+  const util::Result<cosim::WorkerFrameView> frame = cosim::parse_worker_frame_body(body);
+  if (!frame.ok()) return WireSymbol{kWkGarbage, true, frame.error()};
+  const cosim::WorkerFrameView& f = frame.value();
+  return WireSymbol{worker_symbol_of(f.op), false,
+                    std::string(cosim::worker_op_name(f.op)) + "(seq " + std::to_string(f.seq) +
+                        ", " + std::to_string(f.payload.size()) + " payload byte(s)" +
+                        (f.trace_id != 0 ? ", traced" : "") + ")"};
 }
 
 }  // namespace
@@ -715,87 +726,31 @@ void StreamDecoder::feed(std::span<const std::uint8_t> bytes, std::vector<WireSy
     return;
   }
 
-  if (format_ == WireFormat::Worker) {
-    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-    while (buffer_.size() >= 4) {
-      const std::uint32_t len = read_le32(buffer_.data());
-      if (len < 1 + 8 || len > cosim::kMaxWorkerFrame) {
-        wedged_ = true;
-        out.push_back(WireSymbol{kWkGarbage, true,
-                                 "worker frame length " + std::to_string(len) +
-                                     " outside [9, " + std::to_string(cosim::kMaxWorkerFrame) +
-                                     "] (stream corrupt?)"});
-        return;
-      }
-      if (buffer_.size() < 4u + len) break;
-      const auto op = static_cast<cosim::WorkerOp>(buffer_[4]);
-      std::uint64_t seq = 0;
-      for (int i = 7; i >= 0; --i) seq = (seq << 8) | buffer_[5 + static_cast<std::size_t>(i)];
-      std::size_t payload_len = len - (1 + 8);
-      // Strip the optional 12-byte FTID correlation trailer: only
-      // fixed-payload ops carry it, and only when length + closing magic
-      // both line up (cosim::recv_frame applies the same rule).
-      std::uint64_t trace_id = 0;
-      const std::size_t fixed = cosim::worker_op_fixed_payload(op);
-      if (fixed != 0 && payload_len == fixed + 12) {
-        const std::uint8_t* tail = buffer_.data() + 4 + 1 + 8 + fixed;
-        if (read_le32(tail + 8) == cosim::kFrameTraceMagic) {
-          for (int i = 7; i >= 0; --i) trace_id = (trace_id << 8) | tail[i];
-          payload_len = fixed;
-        }
-      }
-      const int symbol = worker_symbol_of(op);
-      if (symbol >= 0) {
-        WireSymbol sym;
-        sym.symbol = symbol;
-        sym.detail = std::string(cosim::worker_op_name(op)) + "(seq " + std::to_string(seq) +
-                     ", " + std::to_string(payload_len) + " payload byte(s)" +
-                     (trace_id != 0 ? ", traced" : "") + ")";
-        out.push_back(std::move(sym));
-      } else {
-        // Framing stays intact (plausible length), so classify the frame as
-        // garbage and keep decoding subsequent ones.
-        out.push_back(WireSymbol{
-            kWkGarbage, true,
-            "unknown worker op 0x" + [](unsigned v) {
-              const char* hex = "0123456789abcdef";
-              return std::string{hex[(v >> 4) & 0xF], hex[v & 0xF]};
-            }(buffer_[4])});
-      }
-      buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + static_cast<std::ptrdiff_t>(len));
-    }
-    return;
-  }
-
+  // Driver-Kernel and Worker frames share the shape `u32 length | body`;
+  // the module owning each wire judges the length and parses the body.
+  const bool worker = format_ == WireFormat::Worker;
+  const std::size_t header = worker ? cosim::kWorkerHeaderSize : ipc::kMessageHeaderSize;
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  while (buffer_.size() >= 4) {
-    const std::uint32_t size = read_le32(buffer_.data());
-    if (size > ipc::kMaxMessageBody) {
-      // An implausible size field means the stream desynchronized; there is
-      // no way to find the next frame boundary.
+  std::size_t consumed = 0;
+  while (buffer_.size() - consumed >= header) {
+    const std::span<const std::uint8_t> rest(buffer_.data() + consumed, buffer_.size() - consumed);
+    const util::Result<std::uint32_t> size =
+        worker ? cosim::worker_frame_body_size(rest) : ipc::message_body_size(rest);
+    if (!size.ok()) {
+      // An implausible length means the stream desynchronized; there is no
+      // way to find the next frame boundary.
       wedged_ = true;
-      out.push_back(WireSymbol{kDkGarbage, true,
-                               "frame size " + std::to_string(size) + " exceeds the " +
-                                   std::to_string(ipc::kMaxMessageBody) + "-byte limit"});
-      return;
+      out.push_back(WireSymbol{worker ? kWkGarbage : kDkGarbage, true, size.error()});
+      break;
     }
-    if (buffer_.size() < 4u + size) break;
-    const std::span<const std::uint8_t> body(buffer_.data() + 4, size);
-    util::Result<ipc::DriverMessage> msg = ipc::decode_message_body(body);
-    if (msg.ok()) {
-      WireSymbol sym;
-      sym.symbol = static_cast<int>(msg.value().type);
-      sym.detail = std::string(ipc::msg_type_name(msg.value().type)) + "(" +
-                   std::to_string(msg.value().items.size()) + " item(s)" +
-                   (msg.value().items.empty() ? "" : ", " + msg.value().items.front().port) + ")";
-      out.push_back(std::move(sym));
-    } else {
-      // Framing stays intact (the size field was plausible), so classify the
-      // body as garbage and keep decoding subsequent frames.
-      out.push_back(WireSymbol{kDkGarbage, true, msg.error()});
-    }
-    buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + size);
+    if (rest.size() - header < size.value()) break;
+    // A body that fails to parse leaves the framing intact (the length was
+    // plausible): it classifies as garbage and decoding goes on.
+    const std::span<const std::uint8_t> body = rest.subspan(header, size.value());
+    out.push_back(worker ? classify_worker_frame(body) : classify_message(body));
+    consumed += header + size.value();
   }
+  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,27 +955,11 @@ std::size_t check_capture(std::span<const std::uint8_t> bytes, const ProtocolMod
                           DiagEngine& diags, const std::string& origin) {
   ConformanceMonitor monitor(model, diags, MonitorOptions{origin, true});
   std::size_t replayed = 0;
-  std::size_t offset = 0;
   int frame = 0;
-  while (offset < bytes.size()) {
+  for (std::size_t offset = 0, size = 0; offset < bytes.size(); offset += size) {
     ++frame;
     const SourceLoc loc{origin, frame, 0};
-    if (bytes.size() - offset < 4) {
-      diags.report(Severity::Error, "NL402",
-                   "capture envelope truncated at offset " + std::to_string(offset), loc);
-      break;
-    }
-    const std::uint32_t size = read_le32(bytes.data() + offset);
-    if (size > ipc::kMaxMessageBody || offset + 4 + size > bytes.size()) {
-      diags.report(Severity::Error, "NL402",
-                   "capture envelope frame " + std::to_string(frame) +
-                       " has implausible size " + std::to_string(size),
-                   loc);
-      break;
-    }
-    util::Result<ipc::DriverMessage> msg =
-        ipc::decode_message_body(bytes.subspan(offset + 4, size));
-    offset += 4 + size;
+    const util::Result<ipc::DriverMessage> msg = ipc::decode_message(bytes.subspan(offset), size);
     if (!msg.ok()) {
       diags.report(Severity::Error, "NL402",
                    "capture envelope frame " + std::to_string(frame) + ": " + msg.error(), loc);

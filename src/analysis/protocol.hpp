@@ -222,12 +222,12 @@ struct WireSymbol {
 };
 
 /// Incremental per-direction reassembler: raw transport bytes in, protocol
-/// symbols out. Driver-Kernel frames are rebuilt across arbitrary chunk
-/// boundaries (recv_exact captures header and body separately); worker
-/// frames (`u32 len | u8 op | u64 seq | payload`) are reassembled the same
-/// way with the optional 12-byte FTID trace trailer stripped by length +
-/// magic; RSP streams reuse rsp::PacketReader ('+'/'-' acks produce no
-/// symbol).
+/// symbols out. Driver-Kernel and worker frames (`u32 length | body`) are
+/// rebuilt across arbitrary chunk boundaries (recv_exact captures header and
+/// body separately) by one loop that calls each wire's own parser:
+/// ipc::message_body_size + ipc::decode_message_body, and
+/// cosim::worker_frame_body_size + cosim::parse_worker_frame_body. RSP
+/// streams reuse rsp::PacketReader ('+'/'-' acks produce no symbol).
 class StreamDecoder {
  public:
   /// `toward_target`: bytes flowing A->B (commands) rather than B->A
@@ -250,7 +250,7 @@ class StreamDecoder {
   WireFormat format_;
   bool toward_target_;
   bool wedged_ = false;
-  std::vector<std::uint8_t> buffer_;  // Driver-Kernel reassembly
+  std::vector<std::uint8_t> buffer_;  // Driver-Kernel / Worker reassembly
   rsp::PacketReader reader_;          // RSP reassembly
 };
 

@@ -11,6 +11,18 @@ namespace nisc::cosim {
 
 namespace {
 
+constexpr std::size_t kTargetMemSize = 1 << 20;
+/// Instructions the GDB stub runs per throttle acquire.
+constexpr std::uint64_t kStubQuantum = 1024;
+/// Instructions the RTOS runs per pay-after settlement.
+constexpr std::uint64_t kDriverRunQuantum = 2048;
+/// Transfers the post-mortem wire capture keeps.
+constexpr std::size_t kCaptureFrames = 32;
+/// How long shutdown() waits for the target thread before complaining.
+constexpr int kJoinTimeoutMs = 10000;
+/// Throttle stall bound: acquire gives up (granting 0) after this long.
+constexpr int kStallTimeoutMs = 10000;
+
 /// Waits for `exited` under a deadline, then joins. All target-side
 /// blocking paths are individually bounded, so the join after an expired
 /// deadline still terminates; the log line tells the operator which session
@@ -40,7 +52,7 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
   program_ = iss::assemble(filtered.source);
   bindings_ = resolve_bindings(filtered.bindings, program_);
 
-  cpu_ = std::make_unique<iss::Cpu>(config_.mem_size);
+  cpu_ = std::make_unique<iss::Cpu>(kTargetMemSize);
   program_.load_into(cpu_->mem());
   cpu_->reset(program_.entry);
 
@@ -50,16 +62,14 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
   if (!config_.fault_plan.empty()) {
     fault_state_ = ipc::FaultyChannel::install(pair.a, config_.fault_plan);
   }
-  if (config_.capture_wire) {
-    capture_ = std::make_shared<ipc::WireCapture>("gdb", config_.capture_frames);
-    pair.b.attach_capture(capture_);
-  }
+  capture_ = std::make_shared<ipc::WireCapture>("gdb", kCaptureFrames);
+  pair.b.attach_capture(capture_);
   if (config_.wire_observer) pair.b.attach_observer(config_.wire_observer);
   rsp::StubOptions stub_options;
-  stub_options.quantum = config_.stub_quantum;
+  stub_options.quantum = kStubQuantum;
   if (config_.throttled) {
     stub_options.acquire_quantum = [this](std::uint64_t want) {
-      std::uint64_t granted = budget_.acquire_for(want, config_.stall_timeout_ms);
+      std::uint64_t granted = budget_.acquire_for(want, kStallTimeoutMs);
       if (granted > 0) progress_.fetch_add(1, std::memory_order_relaxed);
       return granted;
     };
@@ -102,7 +112,7 @@ void GdbTarget::shutdown() {
     // serve tick after request_stop below.
   }
   stub_->request_stop();
-  join_with_deadline("gdb-target", thread_, exited_, config_.join_timeout_ms);
+  join_with_deadline("gdb-target", thread_, exited_, kJoinTimeoutMs);
   if (watchdog_) watchdog_->stop();
 }
 
@@ -115,7 +125,7 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
                 "DriverTarget: write_port/read_port must name iss ports");
   program_ = iss::assemble(rtos::guest_abi_prelude() + guest_source);
 
-  cpu_ = std::make_unique<iss::Cpu>(config_.mem_size);
+  cpu_ = std::make_unique<iss::Cpu>(kTargetMemSize);
   kernel_ = std::make_unique<rtos::Kernel>(*cpu_, config_.rtos);
   kernel_->load(program_);
 
@@ -128,10 +138,8 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
   if (!config_.fault_plan.empty()) {
     fault_state_ = ipc::FaultyChannel::install(data.b, config_.fault_plan);
   }
-  if (config_.capture_wire) {
-    capture_ = std::make_shared<ipc::WireCapture>("drv-data", config_.capture_frames);
-    data.a.attach_capture(capture_);
-  }
+  capture_ = std::make_shared<ipc::WireCapture>("drv-data", kCaptureFrames);
+  data.a.attach_capture(capture_);
   if (config_.wire_observer) data.a.attach_observer(config_.wire_observer);
   if (config_.irq_observer) irq.b.attach_observer(config_.irq_observer);
   data_kernel_side_ = std::move(data.a);
@@ -178,7 +186,7 @@ void DriverTarget::run_loop() {
     // effect. Run a slice, then settle its measured cycle cost against the
     // allowance the SystemC side deposits as simulated time advances.
     const std::uint64_t cycles_before = cpu_->cycles();
-    rtos::RunStatus status = kernel_->run(config_.run_quantum);
+    rtos::RunStatus status = kernel_->run(kDriverRunQuantum);
     last_status_.store(status);
     progress_.fetch_add(1, std::memory_order_relaxed);
     if (config_.throttled && !throttle_lost_.load(std::memory_order_relaxed)) {
@@ -229,7 +237,7 @@ void DriverTarget::shutdown() {
   shut_down_ = true;
   stop_.store(true);
   budget_.close();
-  join_with_deadline("driver-target", thread_, exited_, config_.join_timeout_ms);
+  join_with_deadline("driver-target", thread_, exited_, kJoinTimeoutMs);
   if (pump_) pump_->stop();
   if (watchdog_) watchdog_->stop();
 }

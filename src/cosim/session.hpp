@@ -32,18 +32,13 @@ namespace nisc::cosim {
 // GdbTarget: ISS + GDB stub on a target thread (GDB-Wrapper / GDB-Kernel).
 
 struct GdbTargetConfig {
-  std::size_t mem_size = 1 << 20;
   /// Paper: the GDB-Kernel IPC mechanism is a pipe.
   ipc::Transport transport = ipc::Transport::Pipe;
-  std::uint64_t stub_quantum = 1024;
   /// Meter ISS execution against a TimeBudget fed by the SystemC side.
   bool throttled = true;
   /// Fault-injection plan installed on the stub-side endpoint (empty =
   /// healthy transport, zero overhead).
   ipc::FaultPlan fault_plan;
-  /// Ring-buffer the client-side wire traffic for post-mortems.
-  bool capture_wire = true;
-  std::size_t capture_frames = 32;
   /// Live wire tap on the client-side endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
@@ -51,10 +46,6 @@ struct GdbTargetConfig {
   int reply_timeout_ms = 10000;
   /// Hard deadline on every blocking channel send/recv.
   int io_timeout_ms = 30000;
-  /// How long shutdown() waits for the target thread before complaining.
-  int join_timeout_ms = 10000;
-  /// Throttle stall bound: acquire gives up (granting 0) after this long.
-  int stall_timeout_ms = 10000;
   /// Run a LivenessWatchdog over the target thread (throttled runs only).
   bool watchdog = false;
 };
@@ -77,7 +68,7 @@ class GdbTarget {
 
   /// Fault-injection stats handle (null without a fault_plan).
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
-  /// Client-side wire capture (null when capture_wire is off).
+  /// Client-side wire capture: the last transfers, kept for post-mortems.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
   /// Liveness monitor (null unless enabled and started).
   LivenessWatchdog* watchdog() noexcept { return watchdog_.get(); }
@@ -114,20 +105,15 @@ class GdbTarget {
 // DriverTarget: ISS + RTOS + device driver on a target thread (Driver-Kernel).
 
 struct DriverTargetConfig {
-  std::size_t mem_size = 1 << 20;
   /// Paper: Driver-Kernel uses sockets (data port 4444, interrupt 4445).
   ipc::Transport transport = ipc::Transport::SocketPair;
   rtos::RtosConfig rtos;
   /// iss_in port fed by guest dev_write / iss_out port serving dev_read.
   std::string write_port;
   std::string read_port;
-  std::uint64_t run_quantum = 2048;
   bool throttled = true;
   /// Fault-injection plan installed on the driver-side data endpoint.
   ipc::FaultPlan fault_plan;
-  /// Ring-buffer the kernel-side data traffic for post-mortems.
-  bool capture_wire = true;
-  std::size_t capture_frames = 32;
   /// Live wire tap on the kernel-side data endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
@@ -141,8 +127,6 @@ struct DriverTargetConfig {
   /// this long, time correlation is abandoned (the guest keeps running
   /// unthrottled) instead of deadlocking the target thread.
   int pay_timeout_ms = 5000;
-  /// How long shutdown() waits for the target thread before complaining.
-  int join_timeout_ms = 10000;
   /// Run a LivenessWatchdog over the target thread (throttled runs only).
   bool watchdog = false;
 };
@@ -170,7 +154,8 @@ class DriverTarget {
 
   /// Fault-injection stats handle (null without a fault_plan).
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
-  /// Kernel-side data-port wire capture (null when capture_wire is off).
+  /// Kernel-side data-port wire capture: the last transfers, kept for
+  /// post-mortems.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
   /// Liveness monitor (null unless enabled and started).
   LivenessWatchdog* watchdog() noexcept { return watchdog_.get(); }

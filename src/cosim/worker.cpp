@@ -3,6 +3,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -21,6 +22,25 @@
 namespace nisc::cosim {
 
 using util::RuntimeError;
+
+namespace {
+
+constexpr std::size_t kFrameHead = 1 + 8;     // u8 op | u64 seq
+constexpr std::size_t kTraceTrailer = 8 + 4;  // u64 trace_id | u32 "FTID"
+
+// Little-endian loads for the frame parser; the caller checks bounds.
+// Spelled out so the compiler folds each into one load: ByteReader's
+// per-byte checks would triple the cost of a trace-id peek.
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  return load_le32(p) | (static_cast<std::uint64_t>(load_le32(p + 4)) << 32);
+}
+
+}  // namespace
 
 const char* worker_op_name(WorkerOp op) noexcept {
   switch (op) {
@@ -98,11 +118,75 @@ std::size_t worker_op_fixed_payload(WorkerOp op) noexcept {
   }
 }
 
+namespace {
+
+/// The header rule proper.
+bool plausible_body_len(std::uint32_t body_len) noexcept {
+  return body_len >= kFrameHead && body_len <= kMaxWorkerFrame;
+}
+
+enum class BodyFault : std::uint8_t { None, Short, UnknownOp, PayloadLength };
+
+/// The body rule proper: fills `view` and returns BodyFault::None, or names
+/// the clause `body` breaks. Non-throwing, so the trace-id peek can use it
+/// on every transfer.
+BodyFault parse_body(std::span<const std::uint8_t> body, WorkerFrameView& view) noexcept {
+  if (body.size() < kFrameHead) return BodyFault::Short;
+  view.op = static_cast<WorkerOp>(body[0]);
+  if (std::strcmp(worker_op_name(view.op), "?") == 0) return BodyFault::UnknownOp;
+  view.seq = load_le64(body.data() + 1);
+  view.payload = body.subspan(kFrameHead);
+  // Only fixed-payload ops carry the trailer, and only when the length and
+  // closing magic both line up.
+  const std::size_t fixed = worker_op_fixed_payload(view.op);
+  if (fixed == 0) return BodyFault::None;
+  if (view.payload.size() == fixed + kTraceTrailer &&
+      load_le32(view.payload.data() + fixed + 8) == kFrameTraceMagic) {
+    view.trace_id = load_le64(view.payload.data() + fixed);
+    view.payload = view.payload.first(fixed);
+  }
+  return view.payload.size() == fixed ? BodyFault::None : BodyFault::PayloadLength;
+}
+
+}  // namespace
+
+util::Result<std::uint32_t> worker_frame_body_size(std::span<const std::uint8_t> header) {
+  if (header.size() < kWorkerHeaderSize) {
+    return util::Result<std::uint32_t>::failure("worker frame: truncated length field");
+  }
+  const std::uint32_t body_len = load_le32(header.data());
+  if (!plausible_body_len(body_len)) {
+    return util::Result<std::uint32_t>::failure(
+        "worker frame: body length " + std::to_string(body_len) + " outside [" +
+        std::to_string(kFrameHead) + ", " + std::to_string(kMaxWorkerFrame) +
+        "] (stream corrupt?)");
+  }
+  return body_len;
+}
+
+util::Result<WorkerFrameView> parse_worker_frame_body(std::span<const std::uint8_t> body) {
+  using Parsed = util::Result<WorkerFrameView>;
+  WorkerFrameView view;
+  switch (parse_body(body, view)) {
+    case BodyFault::None: return view;
+    case BodyFault::Short: return Parsed::failure("worker frame: body shorter than op + seq");
+    case BodyFault::UnknownOp:
+      return Parsed::failure("worker frame: unknown op " + std::to_string(body[0]));
+    case BodyFault::PayloadLength:
+      return Parsed::failure(std::string("worker frame: ") + worker_op_name(view.op) +
+                             " payload is " + std::to_string(view.payload.size()) +
+                             " byte(s), op fixes " +
+                             std::to_string(worker_op_fixed_payload(view.op)));
+  }
+  return Parsed::failure("worker frame: unparsable body");
+}
+
 void send_frame(ipc::Channel& channel, const WorkerFrame& frame) {
   const std::size_t fixed = worker_op_fixed_payload(frame.op);
   const bool trailer = frame.trace_id != 0 && fixed != 0 && frame.payload.size() == fixed;
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(1 + 8 + frame.payload.size() + (trailer ? 12 : 0)));
+  w.u32(static_cast<std::uint32_t>(kFrameHead + frame.payload.size() +
+                                   (trailer ? kTraceTrailer : 0)));
   w.u8(static_cast<std::uint8_t>(frame.op));
   w.u64(frame.seq);
   w.bytes(frame.payload);
@@ -114,54 +198,27 @@ void send_frame(ipc::Channel& channel, const WorkerFrame& frame) {
 }
 
 WorkerFrame recv_frame(ipc::Channel& channel) {
-  std::uint8_t head[4];
-  channel.recv_exact(head);
-  const std::uint32_t body_len = static_cast<std::uint32_t>(head[0]) | (head[1] << 8) |
-                                 (head[2] << 16) | (static_cast<std::uint32_t>(head[3]) << 24);
-  if (body_len < 1 + 8 || body_len > kMaxWorkerFrame) {
-    throw RuntimeError("worker frame: implausible body length " + std::to_string(body_len) +
-                       " (stream corrupt?)");
-  }
-  std::vector<std::uint8_t> body(body_len);
+  std::uint8_t header[kWorkerHeaderSize];
+  channel.recv_exact(header);
+  std::vector<std::uint8_t> body(worker_frame_body_size(header).value());
   channel.recv_exact(body);
-  ByteReader r(body, "worker frame body");
-  WorkerFrame frame;
-  frame.op = static_cast<WorkerOp>(r.u8());
-  frame.seq = r.u64();
-  frame.payload = r.bytes(r.remaining());
-  // Strip the optional correlation trailer: only fixed-payload ops carry it,
-  // and only when the length and closing magic both line up (anything else
-  // is a plain payload from an older peer).
-  const std::size_t fixed = worker_op_fixed_payload(frame.op);
-  if (fixed != 0 && frame.payload.size() == fixed + 12) {
-    const std::uint8_t* tail = frame.payload.data() + fixed;
-    const std::uint32_t magic = static_cast<std::uint32_t>(tail[8]) | (tail[9] << 8) |
-                                (tail[10] << 16) | (static_cast<std::uint32_t>(tail[11]) << 24);
-    if (magic == kFrameTraceMagic) {
-      std::uint64_t id = 0;
-      for (int i = 7; i >= 0; --i) id = (id << 8) | tail[i];
-      frame.trace_id = id;
-      frame.payload.resize(fixed);
-    }
-  }
-  return frame;
+  const WorkerFrameView view = parse_worker_frame_body(body).value();
+  return WorkerFrame{view.op, view.seq, view.trace_id, {view.payload.begin(), view.payload.end()}};
 }
 
 std::uint64_t peek_frame_trace_id(ipc::CaptureDir dir,
                                   std::span<const std::uint8_t> bytes) noexcept {
-  if (dir != ipc::CaptureDir::Tx || bytes.size() < 4 + 1 + 8 + 12) return 0;
-  const std::uint32_t body_len = static_cast<std::uint32_t>(bytes[0]) | (bytes[1] << 8) |
-                                 (bytes[2] << 16) | (static_cast<std::uint32_t>(bytes[3]) << 24);
-  if (bytes.size() != 4u + body_len) return 0;  // not a single whole frame
-  const std::size_t fixed = worker_op_fixed_payload(static_cast<WorkerOp>(bytes[4]));
-  if (fixed == 0 || body_len != 1 + 8 + fixed + 12) return 0;
-  const std::uint8_t* tail = bytes.data() + 4 + 1 + 8 + fixed;
-  const std::uint32_t magic = static_cast<std::uint32_t>(tail[8]) | (tail[9] << 8) |
-                              (tail[10] << 16) | (static_cast<std::uint32_t>(tail[11]) << 24);
-  if (magic != kFrameTraceMagic) return 0;
-  std::uint64_t id = 0;
-  for (int i = 7; i >= 0; --i) id = (id << 8) | tail[i];
-  return id;
+  // Too short for a trailer means no id: untraced frames skip the parse.
+  if (dir != ipc::CaptureDir::Tx || bytes.size() < kWorkerHeaderSize + kFrameHead + kTraceTrailer) {
+    return 0;
+  }
+  const std::uint32_t body_len = load_le32(bytes.data());
+  WorkerFrameView view;
+  if (!plausible_body_len(body_len) || bytes.size() != kWorkerHeaderSize + body_len ||
+      parse_body(bytes.subspan(kWorkerHeaderSize), view) != BodyFault::None) {
+    return 0;
+  }
+  return view.trace_id;
 }
 
 std::vector<std::uint8_t> encode_obs_report(const WorkerObsReport& report) {

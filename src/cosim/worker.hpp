@@ -16,12 +16,15 @@
 // Fixed-payload ops (DevWrite/DevRead/WriteAck/ReadReply/Irq) may carry an
 // optional correlation-id trailer after the payload:
 //   u64 trace_id | u32 "FTID"
-// Decoders that predate the trailer keep working: every handler reads a
-// fixed-size payload prefix and ignores trailing bytes, and new decoders
-// only strip the trailer when the length and magic both match. The
-// trace_id doubles as a Chrome-trace flow id, so a worker-side ecall span
-// and the supervisor-side device-access span it caused render as one flow
-// arrow in the merged timeline (DESIGN.md §10.5).
+// The wire has exactly two rules, each applied in one place that every
+// reader (recv_frame, peek_frame_trace_id, the analysis StreamDecoder and
+// check_frames) calls: the header rule `9 <= body_len <= kMaxWorkerFrame`
+// (worker_frame_body_size) and the body rule (parse_worker_frame_body): the
+// op is known, and a fixed-payload op carries exactly its fixed payload,
+// optionally followed by the trailer, recognised by length + closing magic.
+// The trace_id doubles as a Chrome-trace flow id, so a worker-side ecall
+// span and the supervisor-side device-access span it caused render as one
+// flow arrow in the merged timeline (DESIGN.md §10.5).
 //
 // Crash-consistency contract:
 //  * every worker->supervisor frame carries a monotonically increasing
@@ -50,6 +53,7 @@
 #include "ipc/capture.hpp"
 #include "ipc/channel.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace nisc::cosim {
 
@@ -130,6 +134,9 @@ inline constexpr std::uint32_t kWorkerConfigExtMagic = 0x31584357u;  // "WCX1"
 /// Guard on frame bodies; anything larger is stream corruption.
 inline constexpr std::uint32_t kMaxWorkerFrame = 64u << 20;
 
+/// Bytes in the u32 body_len field that opens every frame.
+inline constexpr std::size_t kWorkerHeaderSize = 4;
+
 struct WorkerFrame {
   WorkerOp op = WorkerOp::Hello;
   std::uint64_t seq = 0;
@@ -143,20 +150,40 @@ struct WorkerFrame {
 /// payload is variable (those never carry a trailer).
 std::size_t worker_op_fixed_payload(WorkerOp op) noexcept;
 
+/// A frame body parsed in place: `payload` views the parsed bytes, with any
+/// trace-id trailer already stripped into `trace_id`.
+struct WorkerFrameView {
+  WorkerOp op = WorkerOp::Hello;
+  std::uint64_t seq = 0;
+  std::uint64_t trace_id = 0;  ///< 0 = no correlation trailer on the wire
+  std::span<const std::uint8_t> payload;
+};
+
+/// The header rule: returns the body length announced by `header` (its
+/// first kWorkerHeaderSize bytes), or an error when it is outside
+/// [9, kMaxWorkerFrame] — too short for op + seq, or stream corruption.
+util::Result<std::uint32_t> worker_frame_body_size(std::span<const std::uint8_t> header);
+
+/// The body rule: parses one frame body (without its length field). Fails
+/// on an unknown op and on a fixed-payload op whose payload is neither its
+/// fixed size nor that size plus a well-formed trace-id trailer. Does not
+/// allocate unless it fails.
+util::Result<WorkerFrameView> parse_worker_frame_body(std::span<const std::uint8_t> body);
+
 /// Writes one frame (atomically, as a single send). A nonzero trace_id on a
 /// fixed-payload op is appended as the 12-byte trailer.
 void send_frame(ipc::Channel& channel, const WorkerFrame& frame);
 
-/// Blocking read of one frame; throws RuntimeError on a malformed or
-/// oversized header (the supervisor treats that as a protocol error and
-/// recycles the worker). Strips a well-formed trace-id trailer into
+/// Blocking read of one frame; throws RuntimeError when the frame breaks
+/// the header or body rule (the supervisor treats that as a protocol error
+/// and recycles the worker). Strips a well-formed trace-id trailer into
 /// frame.trace_id.
 WorkerFrame recv_frame(ipc::Channel& channel);
 
 /// Trace-id peeker for an ipc::ObsTap on a worker-protocol socket: returns
-/// the correlation-trailer id of one complete Tx transfer (send_frame
-/// writes a whole frame per send, so Tx transfers are parseable; Rx traffic
-/// arrives as header/body chunks and yields 0).
+/// the correlation-trailer id of one complete, well-formed Tx transfer
+/// (send_frame writes a whole frame per send, so Tx transfers are
+/// parseable; Rx traffic arrives as header/body chunks and yields 0).
 std::uint64_t peek_frame_trace_id(ipc::CaptureDir dir,
                                   std::span<const std::uint8_t> bytes) noexcept;
 

@@ -6,7 +6,6 @@
 namespace nisc::ipc {
 
 using util::Result;
-using util::RuntimeError;
 
 const char* msg_type_name(MsgType type) noexcept {
   switch (type) {
@@ -86,6 +85,16 @@ std::vector<std::uint8_t> encode_message(const DriverMessage& msg) {
   return frame;
 }
 
+Result<std::uint32_t> message_body_size(std::span<const std::uint8_t> header) {
+  const std::uint32_t size = util::read_le(header, kMessageHeaderSize);
+  if (size > kMaxMessageBody) {
+    return Result<std::uint32_t>::failure("packet_size " + std::to_string(size) +
+                                          " exceeds the " + std::to_string(kMaxMessageBody) +
+                                          "-byte limit");
+  }
+  return size;
+}
+
 Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body) {
   auto fail = [](const char* why) { return Result<DriverMessage>::failure(why); };
   std::size_t pos = 0;
@@ -124,20 +133,31 @@ Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body) {
   return msg;
 }
 
+Result<DriverMessage> decode_message(std::span<const std::uint8_t> bytes,
+                                     std::size_t& frame_size) {
+  if (bytes.size() < kMessageHeaderSize) {
+    return Result<DriverMessage>::failure("decode_message: truncated packet_size");
+  }
+  const Result<std::uint32_t> size = message_body_size(bytes);
+  if (!size.ok()) return Result<DriverMessage>::failure(size.error());
+  if (bytes.size() - kMessageHeaderSize < size.value()) {
+    return Result<DriverMessage>::failure("decode_message: truncated body");
+  }
+  frame_size = kMessageHeaderSize + size.value();
+  return decode_message_body(bytes.subspan(kMessageHeaderSize, size.value()));
+}
+
 void send_message(Channel& channel, const DriverMessage& msg) {
   channel.send(encode_message(msg));
 }
 
 DriverMessage recv_message(Channel& channel) {
-  std::uint8_t size_bytes[4];
-  channel.recv_exact(size_bytes);
-  std::uint32_t size = util::read_le(size_bytes, 4);
-  if (size > kMaxMessageBody) throw RuntimeError("recv_message: oversized frame");
+  std::uint8_t header[kMessageHeaderSize];
+  channel.recv_exact(header);
+  const std::uint32_t size = message_body_size(header).value();
   std::vector<std::uint8_t> body(size);
   if (size > 0) channel.recv_exact(body);
-  auto msg = decode_message_body(body);
-  if (!msg.ok()) throw RuntimeError(msg.error());
-  return std::move(msg).value();
+  return decode_message_body(body).value();
 }
 
 std::optional<DriverMessage> try_recv_message(Channel& channel) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,9 +65,27 @@ struct DriverMessage {
 /// Serializes the message to its wire format.
 std::vector<std::uint8_t> encode_message(const DriverMessage& msg);
 
+/// Bytes in the u32 packet_size field that opens every frame.
+inline constexpr std::size_t kMessageHeaderSize = 4;
+
+/// Upper bound on accepted frame bodies; guards against corrupt size fields.
+inline constexpr std::uint32_t kMaxMessageBody = 16u << 20;
+
+/// The header rule, the one place a packet_size field is judged: returns the
+/// body size announced by `header` (its first kMessageHeaderSize bytes), or
+/// an error when it exceeds kMaxMessageBody — the stream is desynchronized
+/// and no later frame boundary can be trusted.
+util::Result<std::uint32_t> message_body_size(std::span<const std::uint8_t> header);
+
 /// Parses one message from `bytes` (which must be exactly one frame *body*,
 /// i.e. without the leading packet_size field).
 util::Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body);
+
+/// Parses the whole frame at the front of `bytes` (header rule, then
+/// decode_message_body); on success `frame_size` holds its length on the
+/// wire. Fails when `bytes` ends before the frame does.
+util::Result<DriverMessage> decode_message(std::span<const std::uint8_t> bytes,
+                                           std::size_t& frame_size);
 
 /// Writes one framed message to the channel.
 void send_message(Channel& channel, const DriverMessage& msg);
@@ -77,8 +96,5 @@ DriverMessage recv_message(Channel& channel);
 /// Non-blocking probe: returns a message only if one has started arriving
 /// (then blocks for its remainder — senders write whole frames atomically).
 std::optional<DriverMessage> try_recv_message(Channel& channel);
-
-/// Upper bound on accepted frame bodies; guards against corrupt size fields.
-inline constexpr std::uint32_t kMaxMessageBody = 16u << 20;
 
 }  // namespace nisc::ipc

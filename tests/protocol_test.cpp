@@ -405,7 +405,7 @@ TEST(FrameDialectTest, WorkerFramesValidateAndTrailersAreNotDefects) {
   append(worker_frame_bytes(cosim::WorkerOp::WriteAck, 1, {0, 0, 0, 0, 0, 0, 0, 0}));
 
   DiagEngine worker_diags;
-  EXPECT_EQ(check_frames(stream, worker_diags, "<worker>", FrameDialect::Worker), 3u);
+  EXPECT_EQ(check_frames(stream, worker_diags, "<worker>", WireFormat::Worker), 3u);
   EXPECT_EQ(worker_diags.errors(), 0u);
   EXPECT_EQ(worker_diags.warnings(), 0u);
 
@@ -417,21 +417,153 @@ TEST(FrameDialectTest, WorkerFramesValidateAndTrailersAreNotDefects) {
   std::vector<std::uint8_t> bad_op = worker_frame_bytes(cosim::WorkerOp::Hello, 0, {});
   bad_op[4] = 0x7F;
   DiagEngine bad_op_diags;
-  EXPECT_EQ(check_frames(bad_op, bad_op_diags, "<bad-op>", FrameDialect::Worker), 0u);
+  EXPECT_EQ(check_frames(bad_op, bad_op_diags, "<bad-op>", WireFormat::Worker), 0u);
   EXPECT_TRUE(bad_op_diags.has_rule("frame.malformed"));
 
   std::vector<std::uint8_t> short_write =
       worker_frame_bytes(cosim::WorkerOp::DevWrite, 2, {1, 2, 3});
   DiagEngine short_diags;
-  EXPECT_EQ(check_frames(short_write, short_diags, "<short>", FrameDialect::Worker), 0u);
+  EXPECT_EQ(check_frames(short_write, short_diags, "<short>", WireFormat::Worker), 0u);
   EXPECT_TRUE(short_diags.has_rule("frame.malformed"));
 
   std::vector<std::uint8_t> torn =
       worker_frame_bytes(cosim::WorkerOp::DevRead, 3, {8, 0, 0, 0});
   torn.resize(torn.size() - 2);
   DiagEngine torn_diags;
-  EXPECT_EQ(check_frames(torn, torn_diags, "<torn>", FrameDialect::Worker), 0u);
+  EXPECT_EQ(check_frames(torn, torn_diags, "<torn>", WireFormat::Worker), 0u);
   EXPECT_TRUE(torn_diags.has_rule("frame.truncated"));
+}
+
+/// One row of the decoder-agreement table: a byte stream on one wire and
+/// whether it holds only well-formed frames.
+struct WireRow {
+  const char* name;
+  WireFormat format;
+  std::vector<std::uint8_t> bytes;
+  bool accept;
+};
+
+std::vector<std::uint8_t> concat(std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const std::vector<std::uint8_t>& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+std::vector<WireRow> agreement_rows() {
+  using cosim::WorkerOp;
+  const std::vector<std::uint8_t> dk_valid =
+      concat({frame_bytes(ipc::DriverMessage::write_u32("router.from_cpu", 0xDEADBEEF)),
+              frame_bytes(ipc::DriverMessage::read_request("router.to_cpu")),
+              frame_bytes(ipc::DriverMessage::interrupt(3))});
+  std::vector<std::uint8_t> dk_torn = dk_valid;
+  dk_torn.resize(dk_torn.size() - 3);
+  const std::vector<std::uint8_t> dk_bad_body = {4, 0, 0, 0, 0xEE, 0xEE, 0xEE, 0xEE};
+  const std::vector<std::uint8_t> dk_bad_length = {0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0};
+
+  const std::vector<std::uint8_t> write = {1, 0, 0, 0, 9, 0, 0, 0};
+  const std::vector<std::uint8_t> ack = {0, 0, 0, 0, 0, 0, 0, 0};
+  const std::vector<std::uint8_t> wk_plain =
+      concat({worker_frame_bytes(WorkerOp::Hello, 0, {0x57, 0x52, 0x4B, 0x31}),
+              worker_frame_bytes(WorkerOp::DevWrite, 1, write),
+              worker_frame_bytes(WorkerOp::WriteAck, 1, ack),
+              worker_frame_bytes(WorkerOp::Ckpt, 2, {0xAA, 0xBB, 0xCC})});
+  const std::vector<std::uint8_t> wk_traced =
+      concat({worker_frame_bytes(WorkerOp::DevWrite, 1, write, /*trace_id=*/77),
+              worker_frame_bytes(WorkerOp::WriteAck, 1, ack, /*trace_id=*/77),
+              worker_frame_bytes(WorkerOp::DevRead, 2, {4, 1, 0, 0}, /*trace_id=*/78)});
+  std::vector<std::uint8_t> wrong_magic = write;
+  for (int i = 0; i < 12; ++i) wrong_magic.push_back(0x33);  // trailer-sized, no "FTID"
+  std::vector<std::uint8_t> unknown_op = worker_frame_bytes(WorkerOp::Hello, 0, {});
+  unknown_op[4] = 0x7F;
+  std::vector<std::uint8_t> wk_torn = wk_traced;
+  wk_torn.resize(wk_torn.size() - 5);
+  const std::vector<std::uint8_t> wk_bad_length = {3, 0, 0, 0, 0x12, 0, 0};
+
+  return {
+      {"dk-valid", WireFormat::DriverKernel, dk_valid, true},
+      {"dk-malformed-body", WireFormat::DriverKernel, concat({dk_valid, dk_bad_body}), false},
+      {"dk-torn-final-frame", WireFormat::DriverKernel, dk_torn, false},
+      {"dk-bad-length", WireFormat::DriverKernel, dk_bad_length, false},
+      {"worker-valid-plain", WireFormat::Worker, wk_plain, true},
+      {"worker-valid-traced", WireFormat::Worker, wk_traced, true},
+      {"worker-short-devwrite", WireFormat::Worker,
+       concat({wk_plain, worker_frame_bytes(WorkerOp::DevWrite, 3, {1, 2, 3})}), false},
+      {"worker-long-devwrite", WireFormat::Worker,
+       concat({worker_frame_bytes(WorkerOp::DevWrite, 1, {1, 0, 0, 0, 9, 0, 0, 0, 0}),
+               wk_plain}),
+       false},
+      {"worker-trailer-sized-wrong-magic", WireFormat::Worker,
+       worker_frame_bytes(WorkerOp::DevWrite, 1, wrong_magic), false},
+      {"worker-unknown-op", WireFormat::Worker, concat({unknown_op, wk_plain}), false},
+      {"worker-torn-final-frame", WireFormat::Worker, wk_torn, false},
+      {"worker-bad-length", WireFormat::Worker, wk_bad_length, false},
+  };
+}
+
+/// The wire's own reader (recv_message / recv_frame) over a socketpair:
+/// accepts when every byte is consumed as a frame without a throw.
+bool reader_accepts(const WireRow& row) {
+  ipc::ChannelPair pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
+  pair.b.set_io_timeout(100);  // a torn final frame times out instead of hanging
+  pair.a.send(row.bytes);
+  try {
+    while (pair.b.readable(0)) {
+      if (row.format == WireFormat::Worker) {
+        cosim::recv_frame(pair.b);
+      } else {
+        ipc::recv_message(pair.b);
+      }
+    }
+  } catch (const util::RuntimeError&) {
+    return false;
+  }
+  return true;
+}
+
+bool monitor_accepts(const WireRow& row) {
+  DiagEngine diags;
+  ConformanceMonitor monitor(
+      make_model(row.format == WireFormat::Worker ? ModelId::Worker : ModelId::DriverKernel),
+      diags, MonitorOptions{"<agreement>", /*end_check=*/false});
+  monitor.on_transfer(ipc::CaptureDir::Rx, row.bytes);
+  monitor.finish();
+  return !diags.has_rule("NL402");
+}
+
+TEST(FrameDialectTest, EveryParserOfAWireReachesTheSameVerdict) {
+  // Each wire has one parser; its reader, the conformance monitor, the frame
+  // validator and the stream decoder (fed in two chunks split at every byte
+  // offset) must therefore agree on which streams hold only good frames.
+  for (const WireRow& row : agreement_rows()) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(reader_accepts(row), row.accept);
+    EXPECT_EQ(monitor_accepts(row), row.accept);
+    DiagEngine frame_diags;
+    check_frames(row.bytes, frame_diags, row.name, row.format);
+    EXPECT_EQ(frame_diags.errors() == 0, row.accept) << render_text(frame_diags);
+
+    StreamDecoder whole(row.format, /*toward_target=*/false);
+    std::vector<WireSymbol> expected;
+    whole.feed(row.bytes, expected);
+    for (std::size_t split = 0; split <= row.bytes.size(); ++split) {
+      StreamDecoder decoder(row.format, /*toward_target=*/false);
+      std::vector<WireSymbol> got;
+      const std::span<const std::uint8_t> bytes(row.bytes);
+      decoder.feed(bytes.first(split), got);
+      decoder.feed(bytes.subspan(split), got);
+      const bool clean = decoder.pending() == 0 && !decoder.wedged() &&
+                         std::none_of(got.begin(), got.end(),
+                                      [](const WireSymbol& sym) { return sym.malformed; });
+      EXPECT_EQ(clean, row.accept) << "split at " << split;
+      ASSERT_EQ(got.size(), expected.size()) << "split at " << split;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].symbol, expected[i].symbol) << "split at " << split;
+        EXPECT_EQ(got[i].malformed, expected[i].malformed) << "split at " << split;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ Conformance monitor
