@@ -14,14 +14,19 @@ DriverKernelExtension::DriverKernelExtension(ipc::Channel data, ipc::Channel int
     : data_(std::move(data)), interrupts_(std::move(interrupts)), budget_(budget),
       options_(options) {}
 
-bool DriverKernelExtension::delivery_safe(sysc::sc_simcontext& ctx,
-                                          const sysc::iss_port_base* port) const {
-  auto it = last_delivery_delta_.find(port);
-  if (it == last_delivery_delta_.end()) return true;
-  // See GdbKernelExtension::delivery_safe: the sensitive iss_process runs
-  // two delta cycles after delivery.
-  return ctx.delta_count() >= it->second + 2;
+namespace {
+
+/// True when every iss_in port `msg` writes can take its value now (see
+/// iss_port_base::can_deliver).
+bool deliverable(sysc::sc_simcontext& ctx, const ipc::DriverMessage& msg) {
+  for (const ipc::MsgItem& item : msg.items) {
+    const sysc::iss_port_base* port = ctx.find_iss_port(item.port);
+    if (port != nullptr && !port->can_deliver()) return false;
+  }
+  return true;
 }
+
+}  // namespace
 
 void DriverKernelExtension::quiesce(const std::string& reason) {
   if (quiesced_) return;
@@ -42,13 +47,8 @@ void DriverKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
   // Paper Fig. 5: "message to exchange?" at the start of the cycle.
   // Backlogged WRITEs (target port still draining) go first, in order.
   while (!backlog_.empty()) {
-    const ipc::DriverMessage& msg = backlog_.front();
-    bool safe = true;
-    for (const ipc::MsgItem& item : msg.items) {
-      const sysc::iss_port_base* port = ctx.find_iss_port(item.port);
-      if (port != nullptr && port->is_input() && !delivery_safe(ctx, port)) safe = false;
-    }
-    if (!safe) return;  // preserve order: do not drain the channel past it
+    // Preserve order: do not drain the channel past a held WRITE.
+    if (!deliverable(ctx, backlog_.front())) return;
     ipc::DriverMessage head = std::move(backlog_.front());
     backlog_.pop_front();
     handle_message(ctx, head);
@@ -56,16 +56,9 @@ void DriverKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
   try {
     while (auto msg = ipc::try_recv_message(data_)) {
       ++stats_.messages_in;
-      if (msg->type == ipc::MsgType::Write) {
-        bool safe = true;
-        for (const ipc::MsgItem& item : msg->items) {
-          const sysc::iss_port_base* port = ctx.find_iss_port(item.port);
-          if (port != nullptr && port->is_input() && !delivery_safe(ctx, port)) safe = false;
-        }
-        if (!safe) {
-          backlog_.push_back(std::move(*msg));
-          return;
-        }
+      if (msg->type == ipc::MsgType::Write && !deliverable(ctx, *msg)) {
+        backlog_.push_back(std::move(*msg));
+        return;
       }
       handle_message(ctx, *msg);
     }
@@ -97,7 +90,6 @@ void DriverKernelExtension::handle_message(sysc::sc_simcontext& ctx,
           continue;  // drop the malformed item, keep the session alive
         }
         port->deliver_bytes(item.data);
-        last_delivery_delta_[port] = ctx.delta_count();
         ++stats_.words_delivered;
       }
       break;
@@ -162,10 +154,7 @@ void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
   // Reverse throttle: hold simulated time while the guest lags far behind
   // its instruction allowance (idle guests drain instantly in DriverTarget,
   // so this only bites when the ISS thread is genuinely behind).
-  if (budget_ != nullptr && options_.max_budget_lead > 0 &&
-      budget_->available() > options_.max_budget_lead) {
-    budget_->wait_below(options_.max_budget_lead, 2);
-  }
+  if (budget_ != nullptr) budget_->throttle();
   // Paper Fig. 5: "interrupt generated?" at the end of the cycle.
   while (!pending_interrupts_.empty()) {
     std::uint32_t irq = pending_interrupts_.front();
@@ -181,13 +170,7 @@ void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
 }
 
 void DriverKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc_time& now) {
-  if (budget_ == nullptr) return;
-  const std::uint64_t elapsed_ps = now.ps() - last_time_ps_;
-  last_time_ps_ = now.ps();
-  const std::uint64_t scaled = elapsed_ps * options_.instructions_per_us + deposit_remainder_;
-  deposit_remainder_ = scaled % 1000000;
-  const std::uint64_t instructions = scaled / 1000000;
-  if (instructions > 0) budget_->deposit(instructions);
+  if (budget_ != nullptr) budget_->advance_to(now.ps(), options_.instructions_per_us);
 }
 
 bool DriverKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {

@@ -38,8 +38,6 @@ struct DriverKernelOptions {
   /// (asynchronous data flow). When false, the driver must send READ
   /// requests.
   bool push_outputs = true;
-  /// Reverse throttle (see GdbKernelOptions::max_budget_lead). 0 disables.
-  std::uint64_t max_budget_lead = 8192;
   /// iss_out ports this extension's driver owns: only these are pushed on
   /// its data socket. Empty = all output ports (single-CPU setups). In
   /// multi-processor designs each CPU's extension must list its own ports,
@@ -96,8 +94,6 @@ class DriverKernelExtension : public sysc::kernel_extension {
   /// latches a CosimError; idempotent.
   void quiesce(const std::string& reason);
 
-  bool delivery_safe(sysc::sc_simcontext& ctx, const sysc::iss_port_base* port) const;
-
   ipc::Channel data_;
   ipc::Channel interrupts_;
   TimeBudget* budget_;
@@ -105,9 +101,6 @@ class DriverKernelExtension : public sysc::kernel_extension {
   std::deque<std::uint32_t> pending_interrupts_;
   /// Messages whose target port is still draining a previous delivery.
   std::deque<ipc::DriverMessage> backlog_;
-  std::map<const sysc::iss_port_base*, std::uint64_t> last_delivery_delta_;
-  std::uint64_t last_time_ps_ = 0;
-  std::uint64_t deposit_remainder_ = 0;
   bool quiesced_ = false;
   std::optional<CosimError> error_;
   DriverKernelStats stats_;

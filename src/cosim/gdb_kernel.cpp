@@ -34,31 +34,14 @@ void GdbKernelExtension::on_elaboration(sysc::sc_simcontext& ctx) {
   // like any mid-run failure.
   try {
     for (const BreakpointBinding& b : bindings_) client_.set_breakpoint(b.breakpoint_addr);
-    if (options_.auto_continue) client_.cont();
+    client_.cont();
   } catch (const util::RuntimeError& e) {
     fail(ctx, e.what());
   }
 }
 
 void GdbKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc_time& now) {
-  if (budget_ == nullptr) return;
-  const std::uint64_t elapsed_ps = now.ps() - last_time_ps_;
-  last_time_ps_ = now.ps();
-  // instructions = elapsed_ps * instr_per_us / 1e6, with remainder carry.
-  const std::uint64_t scaled = elapsed_ps * options_.instructions_per_us + deposit_remainder_;
-  deposit_remainder_ = scaled % 1000000;
-  const std::uint64_t instructions = scaled / 1000000;
-  if (instructions > 0) budget_->deposit(instructions);
-}
-
-bool GdbKernelExtension::delivery_safe(sysc::sc_simcontext& ctx,
-                                       sysc::iss_port_base* port) const {
-  auto it = last_delivery_delta_.find(port);
-  if (it == last_delivery_delta_.end()) return true;
-  // A value delivered at delta N wakes its iss_process in delta N+1's
-  // evaluate phase, which runs *after* delta N+1's cycle_begin hook — so the
-  // port is free for a new value only from delta N+2 on.
-  return ctx.delta_count() >= it->second + 2;
+  if (budget_ != nullptr) budget_->advance_to(now.ps(), options_.instructions_per_us);
 }
 
 void GdbKernelExtension::fail(sysc::sc_simcontext& ctx, const std::string& what) {
@@ -94,11 +77,9 @@ void GdbKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
 void GdbKernelExtension::on_cycle_end(sysc::sc_simcontext&) {
   // Reverse throttle: after this cycle's servicing, hold simulated time
   // while the ISS is running but far behind on its instruction allowance.
-  if (finished_ || budget_ == nullptr || options_.max_budget_lead == 0) return;
+  if (finished_ || budget_ == nullptr) return;
   if (!client_.running() || deferred_stop_) return;  // not draining by design
-  if (budget_->available() > options_.max_budget_lead) {
-    budget_->wait_below(options_.max_budget_lead, 2);
-  }
+  budget_->throttle();
 }
 
 bool GdbKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
@@ -143,22 +124,12 @@ bool GdbKernelExtension::service_stop(sysc::sc_simcontext& ctx, const rsp::StopR
     return true;
   }
   const BreakpointBinding& binding = *it->second;
-  sysc::iss_port_base* port = ctx.find_iss_port(binding.port);
+  // Deferred while the port cannot take the transfer: the ISS stays halted
+  // at the breakpoint (backpressure instead of value loss).
+  if (!transfer_binding(client_, ctx, binding)) return false;
   if (binding.direction == BindDirection::IssToSc) {
-    if (!delivery_safe(ctx, port)) return false;  // defer; ISS stays halted
-    // The guest just wrote the variable: fetch it and feed the iss_in port.
-    auto bytes = client_.read_memory(binding.variable_addr, binding.width);
-    port->deliver_bytes(bytes);
-    last_delivery_delta_[port] = ctx.delta_count();
     ++stats_.values_to_sc;
   } else {
-    // The guest is about to read the variable: inject the port's value.
-    // With the (default) freshness gate, the guest waits — halted — until
-    // the hardware writes a value it has not consumed yet: flow control.
-    if (options_.inject_requires_fresh && !port->has_fresh_value()) return false;
-    auto bytes = port->peek_bytes();
-    client_.write_memory(binding.variable_addr, bytes);
-    port->consume_fresh();
     ++stats_.values_from_sc;
   }
   ++stats_.breakpoint_events;

@@ -34,17 +34,6 @@ struct GdbKernelOptions {
   /// ISS instructions granted per microsecond of simulated time (the CPU's
   /// nominal speed relative to the hardware clock).
   std::uint64_t instructions_per_us = 10000;
-  /// Resume the target automatically after elaboration.
-  bool auto_continue = true;
-  /// Gate iss_out injections on fresh hardware values: the guest blocks at
-  /// its breakpoint until hardware wrote a not-yet-consumed value. Disable
-  /// for status-register-style polling of the same value.
-  bool inject_requires_fresh = true;
-  /// Reverse throttle: simulated time stalls (briefly) while more than this
-  /// many granted-but-unexecuted instructions are outstanding, so a
-  /// host-scheduling hiccup on the ISS thread cannot masquerade as a slow
-  /// simulated CPU. 0 disables.
-  std::uint64_t max_budget_lead = 8192;
 };
 
 struct GdbKernelStats {
@@ -83,12 +72,8 @@ class GdbKernelExtension : public sysc::kernel_extension {
   /// Ends the run on a transport failure: latches a CosimError with the
   /// client channel's wire capture and stops the simulation.
   void fail(sysc::sc_simcontext& ctx, const std::string& what);
-  /// Returns false when the stop must stay deferred (port still draining).
+  /// Returns false when the stop must stay deferred.
   bool service_stop(sysc::sc_simcontext& ctx, const rsp::StopReply& stop);
-
-  /// True when delivering into `port` now cannot overwrite a value whose
-  /// iss_process has not run yet (it runs two delta cycles after delivery).
-  bool delivery_safe(sysc::sc_simcontext& ctx, sysc::iss_port_base* port) const;
 
   rsp::GdbClient& client_;
   TimeBudget* budget_;
@@ -97,12 +82,9 @@ class GdbKernelExtension : public sysc::kernel_extension {
   GdbKernelOptions options_;
   bool finished_ = false;
   std::optional<CosimError> error_;
-  std::uint64_t last_time_ps_ = 0;
-  std::uint64_t deposit_remainder_ = 0;
-  /// A stop whose iss_in delivery must wait for the port to drain. The ISS
-  /// stays halted meanwhile: natural backpressure.
+  /// A stop whose transfer must wait (see transfer_binding). The ISS stays
+  /// halted meanwhile: natural backpressure.
   std::optional<rsp::StopReply> deferred_stop_;
-  std::map<const sysc::iss_port_base*, std::uint64_t> last_delivery_delta_;
   GdbKernelStats stats_;
   /// stats_ values already pushed into the metrics registry (on_run_end
   /// publishes the delta, so the per-cycle poll path stays counter-free).

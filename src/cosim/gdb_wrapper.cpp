@@ -126,17 +126,10 @@ bool GdbWrapperModule::handle_stop(std::uint32_t pc, int signal) {
 }
 
 bool GdbWrapperModule::service_breakpoint(const BreakpointBinding& binding) {
-  sysc::iss_port_base* port = context().find_iss_port(binding.port);
-  util::require(port != nullptr, "GdbWrapper: no iss port named " + binding.port);
+  if (!transfer_binding(client_, context(), binding)) return false;  // wait for the hardware
   if (binding.direction == BindDirection::IssToSc) {
-    auto bytes = client_.read_memory(binding.variable_addr, binding.width);
-    port->deliver_bytes(bytes);
     ++stats_.values_to_sc;
   } else {
-    if (!port->has_fresh_value()) return false;  // wait for the hardware
-    auto bytes = port->peek_bytes();
-    client_.write_memory(binding.variable_addr, bytes);
-    port->consume_fresh();
     ++stats_.values_from_sc;
   }
   ++stats_.breakpoint_events;

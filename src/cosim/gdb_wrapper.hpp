@@ -72,7 +72,7 @@ class GdbWrapperModule : public sysc::sc_module {
   void fail(const std::string& what);
   void cycle_quantum();
   void cycle_single_step();
-  /// Returns false when the binding must wait (no fresh hardware value).
+  /// Returns false when the binding must wait (see transfer_binding).
   bool service_breakpoint(const BreakpointBinding& binding);
   /// Handles one stop; returns true when the wrapper should end this cycle.
   bool handle_stop(std::uint32_t pc, int signal);

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <sstream>
 
+#include "rsp/client.hpp"
+#include "sysc/iss_port.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -159,6 +161,23 @@ std::vector<BreakpointBinding> resolve_bindings(const std::vector<PragmaBinding>
     resolved.push_back(std::move(r));
   }
   return resolved;
+}
+
+bool transfer_binding(rsp::GdbClient& client, sysc::sc_simcontext& ctx,
+                      const BreakpointBinding& binding) {
+  sysc::iss_port_base* port = ctx.find_iss_port(binding.port);
+  if (port == nullptr) throw util::LogicError("no iss port named " + binding.port);
+  if (binding.direction == BindDirection::IssToSc) {
+    // The guest just wrote the variable: fetch it and feed the iss_in port.
+    if (!port->can_deliver()) return false;
+    port->deliver_bytes(client.read_memory(binding.variable_addr, binding.width));
+  } else {
+    // The guest is about to read the variable: inject the port's value.
+    if (!port->has_fresh_value()) return false;
+    client.write_memory(binding.variable_addr, port->peek_bytes());
+    port->consume_fresh();
+  }
+  return true;
 }
 
 }  // namespace nisc::cosim

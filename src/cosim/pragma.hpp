@@ -32,6 +32,13 @@
 
 #include "iss/program.hpp"
 
+namespace nisc::rsp {
+class GdbClient;
+}
+namespace nisc::sysc {
+class sc_simcontext;
+}
+
 namespace nisc::cosim {
 
 /// Direction of a breakpoint binding, from the SystemC port's perspective.
@@ -76,5 +83,16 @@ struct BreakpointBinding {
 /// Throws RuntimeError when a label or variable is undefined.
 std::vector<BreakpointBinding> resolve_bindings(const std::vector<PragmaBinding>& bindings,
                                                 const iss::Program& program);
+
+/// Services one binding for a target halted at its breakpoint, the transfer
+/// both GDB schemes make (paper Fig. 3): IssToSc reads the guest variable
+/// over `client` and delivers it into the binding's iss_in port; ScToIss
+/// writes the iss_out port's fresh value into the variable and consumes it.
+/// Returns false, touching neither side, when the transfer must wait: the
+/// iss_in port still holds a value its iss_process has not seen, or the
+/// hardware has not written a fresh iss_out value. The target stays halted
+/// meanwhile, which is the schemes' flow control.
+bool transfer_binding(rsp::GdbClient& client, sysc::sc_simcontext& ctx,
+                      const BreakpointBinding& binding);
 
 }  // namespace nisc::cosim

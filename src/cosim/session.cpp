@@ -69,9 +69,7 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
   stub_options.quantum = kStubQuantum;
   if (config_.throttled) {
     stub_options.acquire_quantum = [this](std::uint64_t want) {
-      std::uint64_t granted = budget_.acquire_for(want, kStallTimeoutMs);
-      if (granted > 0) progress_.fetch_add(1, std::memory_order_relaxed);
-      return granted;
+      return budget_.acquire_for(want, kStallTimeoutMs);
     };
     // A halted CPU does not consume simulated time: park its allowance so
     // the reverse throttle never mistakes a breakpoint stop for a slow CPU.
@@ -88,9 +86,6 @@ GdbTarget::~GdbTarget() { shutdown(); }
 void GdbTarget::start() {
   util::require(!started_, "GdbTarget::start called twice");
   started_ = true;
-  if (config_.watchdog && config_.throttled) {
-    watchdog_ = std::make_unique<LivenessWatchdog>("gdb-target", progress_, &budget_);
-  }
   thread_ = std::thread([this] {
     stub_->serve();
     exited_.store(true, std::memory_order_release);
@@ -113,7 +108,6 @@ void GdbTarget::shutdown() {
   }
   stub_->request_stop();
   join_with_deadline("gdb-target", thread_, exited_, kJoinTimeoutMs);
-  if (watchdog_) watchdog_->stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -168,9 +162,6 @@ ipc::Channel DriverTarget::take_interrupt_endpoint() {
 void DriverTarget::start() {
   util::require(!started_, "DriverTarget::start called twice");
   started_ = true;
-  if (config_.watchdog && config_.throttled) {
-    watchdog_ = std::make_unique<LivenessWatchdog>("driver-target", progress_, &budget_);
-  }
   pump_ = std::make_unique<InterruptPump>(std::move(irq_target_side_), *kernel_);
   thread_ = std::thread([this] {
     run_loop();
@@ -188,7 +179,6 @@ void DriverTarget::run_loop() {
     const std::uint64_t cycles_before = cpu_->cycles();
     rtos::RunStatus status = kernel_->run(kDriverRunQuantum);
     last_status_.store(status);
-    progress_.fetch_add(1, std::memory_order_relaxed);
     if (config_.throttled && !throttle_lost_.load(std::memory_order_relaxed)) {
       const std::uint64_t cost = cpu_->cycles() - cycles_before;
       if (cost > 0 && !budget_.pay_for(cost, config_.pay_timeout_ms)) {
@@ -239,7 +229,6 @@ void DriverTarget::shutdown() {
   budget_.close();
   join_with_deadline("driver-target", thread_, exited_, kJoinTimeoutMs);
   if (pump_) pump_->stop();
-  if (watchdog_) watchdog_->stop();
 }
 
 }  // namespace nisc::cosim

@@ -16,7 +16,6 @@
 #include "cosim/driver_kernel.hpp"
 #include "cosim/pragma.hpp"
 #include "cosim/time_budget.hpp"
-#include "cosim/watchdog.hpp"
 #include "ipc/capture.hpp"
 #include "ipc/channel.hpp"
 #include "ipc/fault.hpp"
@@ -46,8 +45,6 @@ struct GdbTargetConfig {
   int reply_timeout_ms = 10000;
   /// Hard deadline on every blocking channel send/recv.
   int io_timeout_ms = 30000;
-  /// Run a LivenessWatchdog over the target thread (throttled runs only).
-  bool watchdog = false;
 };
 
 class GdbTarget {
@@ -70,8 +67,6 @@ class GdbTarget {
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
   /// Client-side wire capture: the last transfers, kept for post-mortems.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
-  /// Liveness monitor (null unless enabled and started).
-  LivenessWatchdog* watchdog() noexcept { return watchdog_.get(); }
 
   /// The CPU is owned by the target thread while running; inspect it only
   /// before start() or after shutdown().
@@ -93,8 +88,6 @@ class GdbTarget {
   std::unique_ptr<rsp::GdbClient> client_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::atomic<std::uint64_t> progress_{0};
-  std::unique_ptr<LivenessWatchdog> watchdog_;
   std::atomic<bool> exited_{false};
   std::thread thread_;
   bool started_ = false;
@@ -127,8 +120,6 @@ struct DriverTargetConfig {
   /// this long, time correlation is abandoned (the guest keeps running
   /// unthrottled) instead of deadlocking the target thread.
   int pay_timeout_ms = 5000;
-  /// Run a LivenessWatchdog over the target thread (throttled runs only).
-  bool watchdog = false;
 };
 
 class DriverTarget {
@@ -157,8 +148,6 @@ class DriverTarget {
   /// Kernel-side data-port wire capture: the last transfers, kept for
   /// post-mortems.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
-  /// Liveness monitor (null unless enabled and started).
-  LivenessWatchdog* watchdog() noexcept { return watchdog_.get(); }
   /// True once the target abandoned time correlation (pay deadline blown).
   bool throttle_lost() const noexcept { return throttle_lost_.load(); }
 
@@ -186,8 +175,6 @@ class DriverTarget {
   ipc::Channel irq_target_side_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::atomic<std::uint64_t> progress_{0};
-  std::unique_ptr<LivenessWatchdog> watchdog_;
   std::atomic<bool> exited_{false};
   std::atomic<bool> throttle_lost_{false};
   std::unique_ptr<InterruptPump> pump_;

@@ -7,6 +7,19 @@
 
 namespace nisc::cosim {
 
+namespace {
+
+/// The reverse throttle holds simulated time while more than this many
+/// granted-but-unexecuted instructions are outstanding, so a host-scheduling
+/// hiccup on the ISS thread cannot masquerade as a slow simulated CPU.
+constexpr std::uint64_t kMaxLead = 8192;
+/// Longest the reverse throttle holds simulated time per call.
+constexpr std::chrono::milliseconds kThrottleWait{2};
+/// Picoseconds per microsecond: advance_to's scale.
+constexpr std::uint64_t kPsPerUs = 1000000;
+
+}  // namespace
+
 void TimeBudget::deposit(std::uint64_t tokens) {
   {
     std::lock_guard lock(mutex_);
@@ -15,12 +28,20 @@ void TimeBudget::deposit(std::uint64_t tokens) {
       drained_.notify_all();
       return;
     }
-    tokens_ = std::min(tokens_ + tokens, cap_);
+    tokens_ = std::min(tokens_ + tokens, kCap);
   }
   cv_.notify_all();
 }
 
-std::uint64_t TimeBudget::acquire(std::uint64_t want) { return acquire_for(want, -1); }
+void TimeBudget::advance_to(std::uint64_t now_ps, std::uint64_t instructions_per_us) {
+  const std::uint64_t elapsed_ps = now_ps - last_time_ps_;
+  last_time_ps_ = now_ps;
+  // instructions = elapsed_ps * instr_per_us / 1e6, with remainder carry.
+  const std::uint64_t scaled = elapsed_ps * instructions_per_us + remainder_;
+  remainder_ = scaled % kPsPerUs;
+  const std::uint64_t instructions = scaled / kPsPerUs;
+  if (instructions > 0) deposit(instructions);
+}
 
 std::uint64_t TimeBudget::acquire_for(std::uint64_t want, int timeout_ms) {
   const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
@@ -42,23 +63,6 @@ std::uint64_t TimeBudget::acquire_for(std::uint64_t want, int timeout_ms) {
   return granted;
 }
 
-std::uint64_t TimeBudget::try_acquire(std::uint64_t want) {
-  std::lock_guard lock(mutex_);
-  std::uint64_t granted = std::min(want, tokens_);
-  tokens_ -= granted;
-  if (granted > 0) drained_.notify_all();
-  return granted;
-}
-
-bool TimeBudget::pay(std::uint64_t amount) {
-  while (amount > 0) {
-    std::uint64_t got = acquire(amount);
-    if (got == 0) return false;  // closed
-    amount -= got;
-  }
-  return true;
-}
-
 bool TimeBudget::pay_for(std::uint64_t amount, int timeout_ms) {
   const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
   while (amount > 0) {
@@ -69,10 +73,10 @@ bool TimeBudget::pay_for(std::uint64_t amount, int timeout_ms) {
   return true;
 }
 
-bool TimeBudget::wait_below(std::uint64_t level, int timeout_ms) {
+void TimeBudget::throttle() {
   std::unique_lock lock(mutex_);
-  return drained_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                           [&] { return tokens_ < level || closed_ || idle_; });
+  if (tokens_ <= kMaxLead) return;
+  drained_.wait_for(lock, kThrottleWait, [&] { return tokens_ < kMaxLead || closed_ || idle_; });
 }
 
 void TimeBudget::set_idle(bool idle) {
@@ -95,16 +99,6 @@ void TimeBudget::close() {
 bool TimeBudget::closed() const {
   std::lock_guard lock(mutex_);
   return closed_;
-}
-
-bool TimeBudget::idle() const {
-  std::lock_guard lock(mutex_);
-  return idle_;
-}
-
-std::uint64_t TimeBudget::available() const {
-  std::lock_guard lock(mutex_);
-  return tokens_;
 }
 
 }  // namespace nisc::cosim

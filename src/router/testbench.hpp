@@ -62,7 +62,6 @@ struct TestbenchConfig {
   int reply_timeout_ms = 10000;
   int io_timeout_ms = 30000;
   int pay_timeout_ms = 5000;
-  bool watchdog = false;
 };
 
 struct TestbenchReport {

@@ -5,7 +5,8 @@
 //  * iss_in  — carries data ISS -> SystemC. The kernel extension calls
 //    deliver() when the ISS produces a value (breakpoint hit on the bound
 //    guest variable, or a WRITE message from the device driver); sensitive
-//    iss_processes are dispatched in the next delta cycle.
+//    iss_processes are dispatched in the next delta cycle. The port owns the
+//    delivery rule both kernel-embedded schemes obey (can_deliver()).
 //  * iss_out — carries data SystemC -> ISS. Hardware processes write();
 //    the kernel extension peeks the value when the ISS consumes it
 //    (breakpoint on the destination variable, or a READ message).
@@ -62,6 +63,12 @@ class iss_port_base : public sc_object {
     consumed_.notify_delta();
   }
 
+  /// True when a value delivered now cannot overwrite one whose
+  /// iss_process has not run yet. A value delivered at delta N wakes its
+  /// iss_process in delta N+1's evaluate phase, which runs *after* delta
+  /// N+1's cycle_begin hook, so the port is free again from delta N+2 on.
+  bool can_deliver() const noexcept { return context().delta_count() >= free_from_delta_; }
+
   /// Number of values that crossed the ISS boundary through this port.
   std::uint64_t transfer_count() const noexcept { return transfers_; }
 
@@ -78,12 +85,16 @@ class iss_port_base : public sc_object {
     fresh_ = fresh;
   }
 
+  /// Records an ISS-side delivery for can_deliver().
+  void mark_delivered() noexcept { free_from_delta_ = context().delta_count() + 2; }
+
  private:
   Direction direction_;
   sc_event written_;
   sc_event consumed_;
   bool fresh_ = false;
   std::uint64_t transfers_ = 0;
+  std::uint64_t free_from_delta_ = 0;
 };
 
 /// ISS -> SystemC data port.
@@ -101,14 +112,16 @@ class iss_in : public iss_port_base {
   void deliver(const T& value) {
     value_ = value;
     mark_transfer(true);
+    mark_delivered();
     written_event().notify_delta();
   }
 
   std::size_t width_bytes() const noexcept override { return sizeof(T); }
 
   void deliver_bytes(std::span<const std::uint8_t> bytes) override {
-    util::require(bytes.size() == sizeof(T),
-                  "iss_in " + name() + ": payload width mismatch");
+    if (bytes.size() != sizeof(T)) {
+      throw util::LogicError("iss_in " + name() + ": payload width mismatch");
+    }
     T value;
     std::memcpy(&value, bytes.data(), sizeof(T));
     deliver(value);

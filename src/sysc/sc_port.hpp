@@ -29,22 +29,22 @@ class sc_in : public sc_port_base {
   const char* port_kind() const noexcept override { return "sc_in"; }
 
   const T& read() const {
-    util::require(bound(), "sc_in " + name() + ": read before bind");
+    if (!bound()) throw util::LogicError("sc_in " + name() + ": read before bind");
     return signal_->read();
   }
 
   sc_event& value_changed_event() {
-    util::require(bound(), "sc_in " + name() + ": unbound");
+    if (!bound()) throw util::LogicError("sc_in " + name() + ": unbound");
     return signal_->value_changed_event();
   }
   sc_event& default_event() { return value_changed_event(); }
 
   sc_event& posedge_event() {
-    util::require(bound(), "sc_in " + name() + ": unbound");
+    if (!bound()) throw util::LogicError("sc_in " + name() + ": unbound");
     return signal_->posedge_event();
   }
   sc_event& negedge_event() {
-    util::require(bound(), "sc_in " + name() + ": unbound");
+    if (!bound()) throw util::LogicError("sc_in " + name() + ": unbound");
     return signal_->negedge_event();
   }
 
@@ -61,7 +61,7 @@ class sc_in : public sc_port_base {
   event_finder default_event_finder() { return value_changed(); }
 
   void on_elaboration() override {
-    util::require(bound(), "sc_in " + name() + ": left unbound at elaboration");
+    if (!bound()) throw util::LogicError("sc_in " + name() + ": left unbound at elaboration");
   }
 
  private:
@@ -80,17 +80,17 @@ class sc_out : public sc_port_base {
   const char* port_kind() const noexcept override { return "sc_out"; }
 
   void write(const T& value) {
-    util::require(bound(), "sc_out " + name() + ": write before bind");
+    if (!bound()) throw util::LogicError("sc_out " + name() + ": write before bind");
     signal_->write(value);
   }
 
   const T& read() const {
-    util::require(bound(), "sc_out " + name() + ": read before bind");
+    if (!bound()) throw util::LogicError("sc_out " + name() + ": read before bind");
     return signal_->read();
   }
 
   sc_event& value_changed_event() {
-    util::require(bound(), "sc_out " + name() + ": unbound");
+    if (!bound()) throw util::LogicError("sc_out " + name() + ": unbound");
     return signal_->value_changed_event();
   }
   sc_event& default_event() { return value_changed_event(); }
@@ -101,7 +101,7 @@ class sc_out : public sc_port_base {
   event_finder default_event_finder() { return value_changed(); }
 
   void on_elaboration() override {
-    util::require(bound(), "sc_out " + name() + ": left unbound at elaboration");
+    if (!bound()) throw util::LogicError("sc_out " + name() + ": left unbound at elaboration");
   }
 
  private:

@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -28,9 +29,11 @@ class RuntimeError : public std::runtime_error {
 };
 
 /// Throws LogicError with `msg` when `cond` is false. Used to check public
-/// API preconditions; always enabled (not tied to NDEBUG).
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw LogicError(msg);
+/// API preconditions; always enabled (not tied to NDEBUG). A passing check
+/// costs one branch: the message string is built only on failure, so hot
+/// paths pass a literal, not a concatenation.
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] throw LogicError(std::string(msg));
 }
 
 /// A value-or-error sum type for fallible operations on hot or noexcept-ish

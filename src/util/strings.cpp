@@ -80,7 +80,9 @@ std::optional<std::int64_t> parse_int(std::string_view s) noexcept {
     if (next > limit || next / base != value) return std::nullopt;
     value = next;
   }
-  if (negative) return -static_cast<std::int64_t>(value);
+  // Negate in unsigned arithmetic: -2^63 has no positive int64 counterpart,
+  // and the modular conversion back to int64 is well defined since C++20.
+  if (negative) return static_cast<std::int64_t>(0 - value);
   return static_cast<std::int64_t>(value);
 }
 

@@ -25,27 +25,27 @@ using namespace nisc::sysc::time_literals;
 TEST(TimeBudgetTest, DepositThenAcquire) {
   TimeBudget budget;
   budget.deposit(100);
-  EXPECT_EQ(budget.acquire(60), 60u);
-  EXPECT_EQ(budget.acquire(60), 40u);  // partial grant
+  EXPECT_EQ(budget.acquire_for(60, -1), 60u);
+  EXPECT_EQ(budget.acquire_for(60, -1), 40u);  // partial grant
 }
 
 TEST(TimeBudgetTest, TryAcquireNonBlocking) {
   TimeBudget budget;
-  EXPECT_EQ(budget.try_acquire(10), 0u);
+  EXPECT_EQ(budget.acquire_for(10, 0), 0u);
   budget.deposit(5);
-  EXPECT_EQ(budget.try_acquire(10), 5u);
+  EXPECT_EQ(budget.acquire_for(10, 0), 5u);
 }
 
 TEST(TimeBudgetTest, CapBoundsAccumulation) {
-  TimeBudget budget(100);
-  budget.deposit(1000);
-  EXPECT_EQ(budget.available(), 100u);
+  TimeBudget budget;
+  budget.deposit(TimeBudget::kCap + 1000);
+  EXPECT_EQ(budget.acquire_for(2 * TimeBudget::kCap, 0), TimeBudget::kCap);
 }
 
 TEST(TimeBudgetTest, CloseUnblocksWaiter) {
   TimeBudget budget;
   std::uint64_t got = 99;
-  std::thread waiter([&] { got = budget.acquire(10); });
+  std::thread waiter([&] { got = budget.acquire_for(10, -1); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   budget.close();
   waiter.join();
@@ -56,11 +56,64 @@ TEST(TimeBudgetTest, CloseUnblocksWaiter) {
 TEST(TimeBudgetTest, AcquireBlocksUntilDeposit) {
   TimeBudget budget;
   std::uint64_t got = 0;
-  std::thread waiter([&] { got = budget.acquire(10); });
+  std::thread waiter([&] { got = budget.acquire_for(10, -1); });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   budget.deposit(3);
   waiter.join();
   EXPECT_EQ(got, 3u);
+}
+
+TEST(TimeBudgetTest, AdvanceToCarriesTheRemainderExactly) {
+  // 7 instructions/us over uneven steps of simulated time must grant
+  // exactly what one step over the whole span grants: no instruction lost
+  // to per-step truncation.
+  constexpr std::uint64_t kRate = 7;
+  TimeBudget stepped;
+  std::uint64_t now_ps = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    now_ps += 12345 + (i * 7919) % 100000;  // uneven, sub-instruction steps
+    stepped.advance_to(now_ps, kRate);
+  }
+  TimeBudget whole;
+  whole.advance_to(now_ps, kRate);
+  const std::uint64_t expected = now_ps * kRate / 1000000;
+  ASSERT_GT(expected, 0u);
+  EXPECT_EQ(stepped.acquire_for(TimeBudget::kCap, 0), expected);
+  EXPECT_EQ(whole.acquire_for(TimeBudget::kCap, 0), expected);
+}
+
+TEST(TimeBudgetTest, ThrottleReturnsAtOnceWhenNothingToWaitFor) {
+  using clock = std::chrono::steady_clock;
+  auto elapsed_ms = [](clock::time_point begin) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(clock::now() - begin).count();
+  };
+  TimeBudget under;  // a small lead is normal free-running slack
+  under.deposit(10);
+  TimeBudget idle;  // a halted CPU banks nothing
+  idle.set_idle(true);
+  idle.deposit(TimeBudget::kCap);
+  TimeBudget closed;  // never consuming again
+  closed.deposit(TimeBudget::kCap);
+  closed.close();
+  for (TimeBudget* budget : {&under, &idle, &closed}) {
+    const auto begin = clock::now();
+    for (int i = 0; i < 100; ++i) budget->throttle();
+    EXPECT_LT(elapsed_ms(begin), 50);  // 100 calls, far below 100 x 2 ms
+  }
+}
+
+TEST(TimeBudgetTest, ThrottleHoldsBrieflyWhileTheIssLags) {
+  using clock = std::chrono::steady_clock;
+  TimeBudget budget;
+  budget.deposit(TimeBudget::kCap);  // the ISS is far behind
+  const auto begin = clock::now();
+  budget.throttle();
+  const auto held = clock::now() - begin;
+  EXPECT_GE(held, std::chrono::milliseconds(1));
+  EXPECT_LT(held, std::chrono::milliseconds(100));
+  // Still behind (nothing consumed): the throttle gives up rather than
+  // stall simulated time for good.
+  EXPECT_EQ(budget.acquire_for(2 * TimeBudget::kCap, 0), TimeBudget::kCap);
 }
 
 // ---------------------------------------------------------------- pragma filter

@@ -10,7 +10,6 @@
 #include "cosim/driver_kernel.hpp"
 #include "cosim/gdb_kernel.hpp"
 #include "cosim/session.hpp"
-#include "cosim/watchdog.hpp"
 #include "ipc/fault.hpp"
 #include "ipc/message.hpp"
 #include "iss/assembler.hpp"
@@ -251,56 +250,6 @@ TEST(GdbSessionFailure, MidFrameDisconnectYieldsStructuredError) {
   EXPECT_FALSE(ext.error()->post_mortem.empty());
   target.shutdown();
   ctx.unregister_extension(&ext);
-}
-
-// ---------------------------------------------------------------- Watchdog
-
-TEST(WatchdogFailure, TripsAndBlamesTheIssWhenAllowanceGoesUnconsumed) {
-  cosim::TimeBudget budget;
-  budget.deposit(1000);  // allowance present, consumer never moves
-  std::atomic<std::uint64_t> progress{0};
-  cosim::WatchdogConfig config;
-  config.check_interval_ms = 10;
-  config.stall_threshold_ms = 40;
-  cosim::LivenessWatchdog dog("stall-test", progress, &budget, config);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!dog.tripped() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(dog.tripped());
-  EXPECT_NE(dog.report().find("ISS/target side is blocked"), std::string::npos);
-  dog.stop();
-}
-
-TEST(WatchdogFailure, StaysQuietWhileProgressFlows) {
-  cosim::TimeBudget budget;
-  budget.deposit(1000);
-  std::atomic<std::uint64_t> progress{0};
-  cosim::WatchdogConfig config;
-  config.check_interval_ms = 10;
-  config.stall_threshold_ms = 40;
-  cosim::LivenessWatchdog dog("live-test", progress, &budget, config);
-  for (int i = 0; i < 20; ++i) {
-    progress.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_FALSE(dog.tripped());
-  dog.stop();
-}
-
-TEST(WatchdogFailure, IdleConsumerIsNotAStall) {
-  // Halted at a breakpoint (consumer idle): silence is expected, no trip.
-  cosim::TimeBudget budget;
-  budget.deposit(1000);
-  budget.set_idle(true);
-  std::atomic<std::uint64_t> progress{0};
-  cosim::WatchdogConfig config;
-  config.check_interval_ms = 10;
-  config.stall_threshold_ms = 40;
-  cosim::LivenessWatchdog dog("idle-test", progress, &budget, config);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_FALSE(dog.tripped());
-  dog.stop();
 }
 
 }  // namespace

@@ -227,6 +227,10 @@ struct AluCase {
   std::uint32_t expected_a0;
 };
 
+// gtest would otherwise print the case as raw bytes, including the addresses
+// of `name` and `body`, and those bytes end up in every discovered ctest name.
+void PrintTo(const AluCase& c, std::ostream* os) { *os << c.name; }
+
 class CpuAluTest : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(CpuAluTest, ComputesExpectedValue) {

@@ -7,6 +7,8 @@
 //   * With tracing disabled, ScopedSpan / instant / emit must perform zero
 //     heap allocations (counted via global operator new overrides).
 //   * Counter::add on the enabled path is allocation-free too.
+//   * So are the util precondition checks and little-endian helpers that
+//     sit under every decoded message item, thread wait and timed event.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
+#include "util/hex.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -76,6 +80,23 @@ TEST(ObsOverheadTest, FirstRegistryTouchFlipsExists) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "Counter::add must not allocate";
   EXPECT_EQ(c.value(), 10000u);
+}
+
+TEST(ObsOverheadTest, PassingPreconditionChecksAllocateNothing) {
+  // A satisfied util::require must not build its message: the literal here
+  // is longer than any small-string buffer, as most call sites' are.
+  volatile bool holds = true;
+  std::uint8_t buf[4] = {};
+  std::uint32_t sum = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    util::require(holds, "overhead: a precondition message past the SSO buffer");
+    util::write_le(buf, 4, i);
+    sum += util::read_le(buf, 4);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "a passing require/read_le/write_le must not allocate";
+  EXPECT_EQ(sum, 10000u * 9999u / 2);
 }
 
 }  // namespace

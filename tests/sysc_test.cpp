@@ -753,6 +753,44 @@ TEST(IssPortTest, TransferCountTracksTraffic) {
   EXPECT_EQ(in.transfer_count(), 3u);
 }
 
+TEST(IssPortTest, PortRefusesDeliveryUntilItsProcessRan) {
+  // A value delivered at delta N wakes its iss_process in delta N+1, so
+  // the port takes the next value only from delta N+2 on. Two ports keep
+  // independent clocks.
+  sc_simcontext ctx;
+  iss_in<std::uint32_t> a("a");
+  iss_in<std::uint32_t> b("b");
+  EXPECT_TRUE(a.can_deliver());  // never delivered into
+  struct Probe : kernel_extension {
+    Probe(iss_in<std::uint32_t>& a, iss_in<std::uint32_t>& b) : a(a), b(b) {}
+    void on_cycle_begin(sc_simcontext& ctx) override {
+      if (ctx.delta_count() == 0) a.deliver(1);
+      if (ctx.delta_count() == 1) b.deliver(2);
+      a_free.push_back(a.can_deliver());
+      b_free.push_back(b.can_deliver());
+    }
+    iss_in<std::uint32_t>& a;
+    iss_in<std::uint32_t>& b;
+    std::vector<bool> a_free;
+    std::vector<bool> b_free;
+  } probe(a, b);
+  ctx.register_extension(&probe);
+  // Keep five delta cycles going at time zero.
+  sc_event tick("tick");
+  int ticks = 0;
+  auto& p = ctx.create_method("ticker", [&] {
+    if (++ticks < 5) tick.notify_delta();
+  });
+  p.make_sensitive(tick);
+  ctx.run(1_ns);
+  ASSERT_GE(probe.a_free.size(), 5u);
+  EXPECT_EQ(std::vector<bool>(probe.a_free.begin(), probe.a_free.begin() + 5),
+            (std::vector<bool>{false, false, true, true, true}));
+  EXPECT_EQ(std::vector<bool>(probe.b_free.begin(), probe.b_free.begin() + 5),
+            (std::vector<bool>{true, false, false, true, true}));
+  ctx.unregister_extension(&probe);
+}
+
 // ---------------------------------------------------------------- extensions
 
 struct CountingExtension : kernel_extension {
