@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace nisc::bench {
 
@@ -65,7 +66,7 @@ void append_double(std::string& out, double v) {
 }  // namespace
 
 std::string Recorder::render_json() const {
-  std::string out = "{\"schema\":1,\"bench\":\"" + bench_ + "\",\"quick\":";
+  std::string out = "{\"schema\":1,\"bench\":\"" + util::json_escape(bench_) + "\",\"quick\":";
   out += quick_mode() ? "true" : "false";
   out += ",\"results\":[";
   bool first = true;
@@ -74,7 +75,8 @@ std::string Recorder::render_json() const {
     first = false;
     std::vector<double> sorted = s.values;
     std::sort(sorted.begin(), sorted.end());
-    out += "{\"name\":\"" + s.name + "\",\"unit\":\"" + s.unit + "\",\"runs\":[";
+    out += "{\"name\":\"" + util::json_escape(s.name) + "\",\"unit\":\"" +
+           util::json_escape(s.unit) + "\",\"runs\":[";
     for (std::size_t i = 0; i < s.values.size(); ++i) {
       if (i > 0) out += ',';
       append_double(out, s.values[i]);

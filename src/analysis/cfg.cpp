@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "util/bytes.hpp"
+
 namespace nisc::analysis {
 namespace {
 
@@ -52,11 +54,7 @@ Cfg Cfg::build(const iss::Program& program) {
   for (const iss::CodeLoc& loc : program.code) {
     std::uint64_t off = loc.addr - program.base;
     if (off + 4 > program.bytes.size()) continue;
-    std::uint32_t word = static_cast<std::uint32_t>(program.bytes[off]) |
-                         (static_cast<std::uint32_t>(program.bytes[off + 1]) << 8) |
-                         (static_cast<std::uint32_t>(program.bytes[off + 2]) << 16) |
-                         (static_cast<std::uint32_t>(program.bytes[off + 3]) << 24);
-    instrs.push_back({loc.addr, iss::decode(word), loc.line});
+    instrs.push_back({loc.addr, iss::decode(util::load_le32(&program.bytes[off])), loc.line});
     code_addrs.insert(loc.addr);
   }
   if (instrs.empty()) return cfg;

@@ -1,7 +1,8 @@
 #include "analysis/diag.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace nisc::analysis {
 
@@ -86,29 +87,6 @@ std::string render_text(const DiagEngine& engine) {
   return out;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_json(const DiagEngine& engine, std::string_view extra_json) {
   std::ostringstream out;
   out << "{\"schema\":1,\"diagnostics\":[";
@@ -117,9 +95,9 @@ std::string render_json(const DiagEngine& engine, std::string_view extra_json) {
     if (!first) out << ',';
     first = false;
     out << "{\"severity\":\"" << severity_name(d.severity) << "\""
-        << ",\"rule\":\"" << json_escape(d.rule) << "\""
-        << ",\"message\":\"" << json_escape(d.message) << "\""
-        << ",\"file\":\"" << json_escape(d.loc.file) << "\""
+        << ",\"rule\":\"" << util::json_escape(d.rule) << "\""
+        << ",\"message\":\"" << util::json_escape(d.message) << "\""
+        << ",\"file\":\"" << util::json_escape(d.loc.file) << "\""
         << ",\"line\":" << d.loc.line << ",\"column\":" << d.loc.column << '}';
   }
   out << "],\"errors\":" << engine.errors() << ",\"warnings\":" << engine.warnings()

@@ -93,7 +93,4 @@ std::string render_text(const DiagEngine& engine);
 /// top-level members (it must be one or more `"key":value` fragments).
 std::string render_json(const DiagEngine& engine, std::string_view extra_json = {});
 
-/// Escapes a string for embedding in a JSON string literal (no quotes added).
-std::string json_escape(std::string_view s);
-
 }  // namespace nisc::analysis

@@ -5,6 +5,8 @@
 #include <deque>
 #include <unordered_map>
 
+#include "util/json.hpp"
+
 namespace nisc::analysis {
 
 EnvOptions EnvOptions::faulty() {
@@ -549,7 +551,7 @@ std::string render_json(const ExploreReport& report) {
   };
   const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
   out += "{";
-  field("model", json_escape(report.model), true);
+  field("model", util::json_escape(report.model), true);
   out += ",\"env\":{";
   field("capacity", std::to_string(report.env.channel_capacity), false);
   field("lossy", flag(report.env.lossy), false);
@@ -569,12 +571,12 @@ std::string render_json(const ExploreReport& report) {
     out += "{";
     field("kind", violation_kind_name(ce.kind), true);
     field("rule", violation_rule(ce.kind), true);
-    field("state", json_escape(ce.state), true);
+    field("state", util::json_escape(ce.state), true);
     out += ",\"trace\":[";
     for (std::size_t j = 0; j < ce.trace.size(); ++j) {
       if (j > 0) out += ",";
       out += "\"";
-      out += json_escape(ce.trace[j].text);
+      out += util::json_escape(ce.trace[j].text);
       out += "\"";
     }
     out += "]}";

@@ -6,6 +6,7 @@
 #include "analysis/dataflow.hpp"
 #include "analysis/diag.hpp"
 #include "iss/isa.hpp"
+#include "util/json.hpp"
 
 namespace nisc::analysis {
 namespace {
@@ -450,7 +451,7 @@ std::string render_summaries_json(const CallGraph& cg, const SummaryTable& table
     if (!first_entry) out += ',';
     first_entry = false;
     out += "{\"name\":\"";
-    out += json_escape(fn.name);
+    out += util::json_escape(fn.name);
     out += "\",\"entry\":";
     out += std::to_string(fn.entry_addr);
     out += ",\"context\":[";

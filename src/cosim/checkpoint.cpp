@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <sstream>
 
-#include "cosim/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 
 namespace nisc::cosim {
 
+using util::ByteReader;
+using util::ByteWriter;
 using util::RuntimeError;
 
 namespace {
@@ -139,16 +141,16 @@ IssSnapshot decode_iss(std::span<const std::uint8_t> payload) {
   snap.cycle_model.branch_taken = r.u32();
   snap.cycle_model.mul = r.u32();
   snap.cycle_model.div = r.u32();
-  const std::uint32_t n_bp = r.u32();
+  const std::uint32_t n_bp = r.count(4);
   for (std::uint32_t i = 0; i < n_bp; ++i) snap.breakpoints.push_back(r.u32());
-  const std::uint32_t n_wp = r.u32();
+  const std::uint32_t n_wp = r.count(4 + 4);
   for (std::uint32_t i = 0; i < n_wp; ++i) {
     std::uint32_t addr = r.u32();
     std::uint32_t len = r.u32();
     snap.watchpoints.emplace_back(addr, len);
   }
   snap.mem_size = r.u64();
-  const std::uint32_t n_pages = r.u32();
+  const std::uint32_t n_pages = r.count(4 + 4);
   for (std::uint32_t i = 0; i < n_pages; ++i) {
     std::uint32_t index = r.u32();
     std::uint32_t len = r.u32();
@@ -193,7 +195,7 @@ sysc::kernel_state decode_kernel(std::span<const std::uint8_t> payload) {
   state.stats.channel_updates = r.u64();
   state.stats.timed_advances = r.u64();
   state.stats.extension_checks = r.u64();
-  const std::uint32_t n_timed = r.u32();
+  const std::uint32_t n_timed = r.count(8 + 8 + 1 + 2 + 4);
   for (std::uint32_t i = 0; i < n_timed; ++i) {
     sysc::kernel_state::timed_entry entry;
     entry.at_ps = r.u64();
@@ -203,7 +205,7 @@ sysc::kernel_state decode_kernel(std::span<const std::uint8_t> payload) {
     entry.ordinal = r.u32();
     state.timed.push_back(std::move(entry));
   }
-  const std::uint32_t n_delta = r.u32();
+  const std::uint32_t n_delta = r.count(2 + 4);
   for (std::uint32_t i = 0; i < n_delta; ++i) {
     sysc::kernel_state::delta_entry entry;
     entry.name = r.str();
@@ -250,7 +252,7 @@ WorkerSnapshot decode_worker(std::span<const std::uint8_t> payload) {
   ByteReader r(payload, "WRKR section");
   WorkerSnapshot worker;
   worker.irqs_delivered = r.u64();
-  const std::uint32_t n_irqs = r.u32();
+  const std::uint32_t n_irqs = r.count(4);
   for (std::uint32_t i = 0; i < n_irqs; ++i) worker.pending_irqs.push_back(r.u32());
   const std::uint64_t n_rx = r.u64();
   worker.dev_rx = r.bytes(n_rx);

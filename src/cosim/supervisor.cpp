@@ -13,16 +13,18 @@
 #include <fstream>
 #include <optional>
 
-#include "cosim/bytes.hpp"
 #include "ipc/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sysc/kernel.hpp"
 #include "sysc/sc_time.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace nisc::cosim {
 
+using util::ByteReader;
+using util::ByteWriter;
 using util::RuntimeError;
 
 namespace {

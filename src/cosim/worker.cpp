@@ -10,35 +10,25 @@
 #include <optional>
 #include <thread>
 
-#include "cosim/bytes.hpp"
 #include "cosim/checkpoint.hpp"
 #include "iss/assembler.hpp"
 #include "iss/cpu.hpp"
 #include "iss/program.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace nisc::cosim {
 
+using util::ByteReader;
+using util::ByteWriter;
 using util::RuntimeError;
 
 namespace {
 
 constexpr std::size_t kFrameHead = 1 + 8;     // u8 op | u64 seq
 constexpr std::size_t kTraceTrailer = 8 + 4;  // u64 trace_id | u32 "FTID"
-
-// Little-endian loads for the frame parser; the caller checks bounds.
-// Spelled out so the compiler folds each into one load: ByteReader's
-// per-byte checks would triple the cost of a trace-id peek.
-std::uint32_t load_le32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  return load_le32(p) | (static_cast<std::uint64_t>(load_le32(p + 4)) << 32);
-}
 
 }  // namespace
 
@@ -64,8 +54,7 @@ const char* worker_op_name(WorkerOp op) noexcept {
 
 std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
   ByteWriter w;
-  w.blob({reinterpret_cast<const std::uint8_t*>(config.guest_source.data()),
-          config.guest_source.size()});
+  w.blob(util::as_bytes(config.guest_source));
   w.u64(config.mem_size);
   w.u64(config.ckpt_every);
   w.u8(static_cast<std::uint8_t>(config.fault.kind));
@@ -87,11 +76,10 @@ std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
 WorkerConfig decode_worker_config(std::span<const std::uint8_t> payload) {
   ByteReader r(payload, "worker config");
   WorkerConfig config;
-  const std::vector<std::uint8_t> source = r.blob();
-  config.guest_source.assign(reinterpret_cast<const char*>(source.data()), source.size());
+  config.guest_source = r.blob_str();
   config.mem_size = r.u64();
   config.ckpt_every = r.u64();
-  util::require(config.ckpt_every > 0, "worker config: ckpt_every must be positive");
+  if (config.ckpt_every == 0) throw RuntimeError("worker config: ckpt_every must be positive");
   config.fault.kind = static_cast<FaultKind>(r.u8());
   config.fault.at_instret = r.u64();
   if (r.remaining() >= 4 && r.u32() == kWorkerConfigExtMagic) {
@@ -134,15 +122,15 @@ BodyFault parse_body(std::span<const std::uint8_t> body, WorkerFrameView& view) 
   if (body.size() < kFrameHead) return BodyFault::Short;
   view.op = static_cast<WorkerOp>(body[0]);
   if (std::strcmp(worker_op_name(view.op), "?") == 0) return BodyFault::UnknownOp;
-  view.seq = load_le64(body.data() + 1);
+  view.seq = util::load_le64(body.data() + 1);
   view.payload = body.subspan(kFrameHead);
   // Only fixed-payload ops carry the trailer, and only when the length and
   // closing magic both line up.
   const std::size_t fixed = worker_op_fixed_payload(view.op);
   if (fixed == 0) return BodyFault::None;
   if (view.payload.size() == fixed + kTraceTrailer &&
-      load_le32(view.payload.data() + fixed + 8) == kFrameTraceMagic) {
-    view.trace_id = load_le64(view.payload.data() + fixed);
+      util::load_le32(view.payload.data() + fixed + 8) == kFrameTraceMagic) {
+    view.trace_id = util::load_le64(view.payload.data() + fixed);
     view.payload = view.payload.first(fixed);
   }
   return view.payload.size() == fixed ? BodyFault::None : BodyFault::PayloadLength;
@@ -154,7 +142,7 @@ util::Result<std::uint32_t> worker_frame_body_size(std::span<const std::uint8_t>
   if (header.size() < kWorkerHeaderSize) {
     return util::Result<std::uint32_t>::failure("worker frame: truncated length field");
   }
-  const std::uint32_t body_len = load_le32(header.data());
+  const std::uint32_t body_len = util::load_le32(header.data());
   if (!plausible_body_len(body_len)) {
     return util::Result<std::uint32_t>::failure(
         "worker frame: body length " + std::to_string(body_len) + " outside [" +
@@ -212,7 +200,7 @@ std::uint64_t peek_frame_trace_id(ipc::CaptureDir dir,
   if (dir != ipc::CaptureDir::Tx || bytes.size() < kWorkerHeaderSize + kFrameHead + kTraceTrailer) {
     return 0;
   }
-  const std::uint32_t body_len = load_le32(bytes.data());
+  const std::uint32_t body_len = util::load_le32(bytes.data());
   WorkerFrameView view;
   if (!plausible_body_len(body_len) || bytes.size() != kWorkerHeaderSize + body_len ||
       parse_body(bytes.subspan(kWorkerHeaderSize), view) != BodyFault::None) {
@@ -224,8 +212,7 @@ std::uint64_t peek_frame_trace_id(ipc::CaptureDir dir,
 std::vector<std::uint8_t> encode_obs_report(const WorkerObsReport& report) {
   ByteWriter w;
   w.u64(report.worker_now_ns);
-  w.blob({reinterpret_cast<const std::uint8_t*>(report.metrics_json.data()),
-          report.metrics_json.size()});
+  w.blob(util::as_bytes(report.metrics_json));
   w.bytes(obs::encode_trace_snapshot(report.trace));
   return w.take();
 }
@@ -234,9 +221,8 @@ WorkerObsReport decode_obs_report(std::span<const std::uint8_t> payload) {
   ByteReader r(payload, "obs report");
   WorkerObsReport report;
   report.worker_now_ns = r.u64();
-  const std::vector<std::uint8_t> json = r.blob();
-  report.metrics_json.assign(reinterpret_cast<const char*>(json.data()), json.size());
-  report.trace = obs::decode_trace_snapshot(r.bytes(r.remaining()));
+  report.metrics_json = r.blob_str();
+  report.trace = obs::decode_trace_snapshot(r.rest());
   return report;
 }
 

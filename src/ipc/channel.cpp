@@ -257,15 +257,7 @@ Channel TcpListener::accept(int timeout_ms) {
   return finish_tcp_socket(Fd(fd));
 }
 
-Channel TcpListener::try_accept() {
-  if (!poll_readable(listen_fd_, 0)) return Channel();
-  return accept(0);
-}
-
-namespace {
-
-/// One connect attempt; returns an invalid Fd on ECONNREFUSED (retryable).
-Fd tcp_connect_once(std::uint16_t port) {
+Channel tcp_connect(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw RuntimeError(std::string("socket: ") + std::strerror(errno));
   Fd sock(fd);
@@ -279,35 +271,10 @@ Fd tcp_connect_once(std::uint16_t port) {
     rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
-    if (errno == ECONNREFUSED) return Fd();
     throw RuntimeError(std::string("connect port ") + std::to_string(port) + ": " +
                        std::strerror(errno));
   }
-  return sock;
-}
-
-}  // namespace
-
-Channel tcp_connect(std::uint16_t port) {
-  Fd sock = tcp_connect_once(port);
-  if (!sock.valid()) {
-    throw RuntimeError("connect port " + std::to_string(port) + ": Connection refused");
-  }
   return finish_tcp_socket(std::move(sock));
-}
-
-Channel tcp_connect(std::uint16_t port, const RetryPolicy& policy) {
-  Backoff backoff(policy);
-  for (;;) {
-    Fd sock = tcp_connect_once(port);
-    if (sock.valid()) return finish_tcp_socket(std::move(sock));
-    int delay = backoff.next_delay_ms();
-    if (delay < 0) {
-      throw RuntimeError("connect port " + std::to_string(port) + ": Connection refused after " +
-                         std::to_string(backoff.attempts_made()) + " attempt(s)");
-    }
-    backoff_sleep_ms(delay);
-  }
 }
 
 const char* transport_name(Transport transport) noexcept {

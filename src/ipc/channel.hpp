@@ -20,7 +20,6 @@
 #include <string_view>
 
 #include "ipc/fd.hpp"
-#include "ipc/retry.hpp"
 
 namespace nisc::ipc {
 
@@ -129,20 +128,14 @@ class TcpListener {
   /// RuntimeError("accept: timed out...") on expiry.
   Channel accept(int timeout_ms = -1);
 
-  /// Non-blocking accept: returns an invalid Channel when nobody is
-  /// waiting.
-  Channel try_accept();
-
  private:
   Fd listen_fd_;
   std::uint16_t port_ = 0;
 };
 
-/// Connects to a loopback TCP listener. The second overload retries refused
-/// connections under `policy` (exponential backoff with seeded jitter) —
-/// the Driver-Kernel guest may boot before the SystemC side is listening.
+/// Connects to a loopback TCP listener; throws RuntimeError when the
+/// connection is refused.
 Channel tcp_connect(std::uint16_t port);
-Channel tcp_connect(std::uint16_t port, const RetryPolicy& policy);
 
 /// Human-readable transport name (for bench output).
 const char* transport_name(Transport transport) noexcept;

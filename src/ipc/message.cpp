@@ -1,7 +1,7 @@
 #include "ipc/message.hpp"
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
-#include "util/hex.hpp"
 
 namespace nisc::ipc {
 
@@ -53,35 +53,18 @@ std::optional<std::uint32_t> DriverMessage::irq() const {
   return util::read_le(items[0].data, 4);
 }
 
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_message(const DriverMessage& msg) {
   util::require(msg.items.size() <= 0xFFFF, "encode_message: too many items");
-  std::vector<std::uint8_t> body;
-  body.push_back(static_cast<std::uint8_t>(msg.type));
-  put_u16(body, static_cast<std::uint16_t>(msg.items.size()));
+  util::ByteWriter w;
+  w.u32(0);  // packet_size, patched below
+  w.u8(static_cast<std::uint8_t>(msg.type));
+  w.u16(static_cast<std::uint16_t>(msg.items.size()));
   for (const MsgItem& item : msg.items) {
-    util::require(item.port.size() <= 0xFFFF, "encode_message: port name too long");
-    put_u16(body, static_cast<std::uint16_t>(item.port.size()));
-    body.insert(body.end(), item.port.begin(), item.port.end());
-    put_u32(body, static_cast<std::uint32_t>(item.data.size()));
-    body.insert(body.end(), item.data.begin(), item.data.end());
+    w.str(item.port);
+    w.blob(item.data);
   }
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + body.size());
-  put_u32(frame, static_cast<std::uint32_t>(body.size()));
-  frame.insert(frame.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> frame = w.take();
+  util::store_le32(frame.data(), static_cast<std::uint32_t>(frame.size() - kMessageHeaderSize));
   return frame;
 }
 
@@ -96,41 +79,23 @@ Result<std::uint32_t> message_body_size(std::span<const std::uint8_t> header) {
 }
 
 Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body) {
-  auto fail = [](const char* why) { return Result<DriverMessage>::failure(why); };
-  std::size_t pos = 0;
-  auto need = [&](std::size_t n) { return pos + n <= body.size(); };
-
-  if (!need(3)) return fail("decode_message: truncated header");
-  std::uint8_t raw_type = body[pos++];
-  if (raw_type > static_cast<std::uint8_t>(MsgType::Interrupt)) {
-    return fail("decode_message: unknown type");
-  }
-  DriverMessage msg;
-  msg.type = static_cast<MsgType>(raw_type);
-  std::uint16_t count = static_cast<std::uint16_t>(body[pos] | (body[pos + 1] << 8));
-  pos += 2;
-  msg.items.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    if (!need(2)) return fail("decode_message: truncated port length");
-    std::uint16_t port_len = static_cast<std::uint16_t>(body[pos] | (body[pos + 1] << 8));
-    pos += 2;
-    if (!need(port_len)) return fail("decode_message: truncated port name");
-    MsgItem item;
-    item.port.assign(reinterpret_cast<const char*>(body.data() + pos), port_len);
-    pos += port_len;
-    if (!need(4)) return fail("decode_message: truncated data size");
-    std::uint32_t data_size = util::read_le(body.subspan(pos), 4);
-    pos += 4;
-    if (data_size > kMaxMessageBody || !need(data_size)) {
-      return fail("decode_message: truncated data");
+  util::ByteReader r(body, "message body");
+  try {
+    const std::uint8_t raw_type = r.u8();
+    if (raw_type > static_cast<std::uint8_t>(MsgType::Interrupt)) {
+      return Result<DriverMessage>::failure("decode_message: unknown type");
     }
-    item.data.assign(body.begin() + static_cast<std::ptrdiff_t>(pos),
-                     body.begin() + static_cast<std::ptrdiff_t>(pos + data_size));
-    pos += data_size;
-    msg.items.push_back(std::move(item));
+    DriverMessage msg;
+    msg.type = static_cast<MsgType>(raw_type);
+    // An item is at least a u16 port length and a u32 data size.
+    const std::uint16_t count = r.count16(2 + 4);
+    msg.items.reserve(count);
+    for (std::uint16_t i = 0; i < count; ++i) msg.items.push_back({r.str(), r.blob()});
+    if (!r.done()) return Result<DriverMessage>::failure("decode_message: trailing bytes");
+    return msg;
+  } catch (const util::RuntimeError& e) {
+    return Result<DriverMessage>::failure(std::string("decode_message: ") + e.what());
   }
-  if (pos != body.size()) return fail("decode_message: trailing bytes");
-  return msg;
 }
 
 Result<DriverMessage> decode_message(std::span<const std::uint8_t> bytes,

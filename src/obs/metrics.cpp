@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace nisc::obs {
 namespace {
@@ -11,17 +12,6 @@ namespace {
 std::atomic<bool>& exists_flag() noexcept {
   static std::atomic<bool> flag{false};
   return flag;
-}
-
-void append_json_escaped(std::ostream& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      default: out << c; break;
-    }
-  }
 }
 
 }  // namespace
@@ -137,27 +127,21 @@ std::string render_snapshot_json(const MetricsSnapshot& snap) {
   for (const auto& [name, value] : snap.counters) {
     if (!first) out << ',';
     first = false;
-    out << '"';
-    append_json_escaped(out, name);
-    out << "\":" << value;
+    out << '"' << util::json_escape(name) << "\":" << value;
   }
   out << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
     if (!first) out << ',';
     first = false;
-    out << '"';
-    append_json_escaped(out, name);
-    out << "\":" << value;
+    out << '"' << util::json_escape(name) << "\":" << value;
   }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& hv : snap.histograms) {
     if (!first) out << ',';
     first = false;
-    out << '"';
-    append_json_escaped(out, hv.name);
-    out << "\":{\"bounds\":[";
+    out << '"' << util::json_escape(hv.name) << "\":{\"bounds\":[";
     for (std::size_t i = 0; i < hv.bounds.size(); ++i) {
       if (i) out << ',';
       out << hv.bounds[i];

@@ -9,7 +9,9 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace nisc::obs {
 
@@ -133,13 +135,6 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-void append_escaped(std::ostream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-}
-
 bool is_flow_phase(char phase) noexcept { return phase == 's' || phase == 't' || phase == 'f'; }
 
 void append_event_json(std::ostream& out, const TraceSnapshot::Event& e, std::uint32_t pid,
@@ -154,12 +149,9 @@ void append_event_json(std::ostream& out, const TraceSnapshot::Event& e, std::ui
   // Chrome trace ts unit is microseconds; keep ns resolution as a fraction.
   const std::uint64_t us = ts_ns / 1000;
   const std::uint64_t frac = ts_ns % 1000;
-  out << "{\"name\":\"";
-  append_escaped(out, e.name);
-  out << "\",\"cat\":\"";
-  append_escaped(out, e.cat);
-  out << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"ts\":" << us << '.';
+  out << "{\"name\":\"" << util::json_escape(e.name) << "\",\"cat\":\""
+      << util::json_escape(e.cat) << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << pid
+      << ",\"tid\":" << tid << ",\"ts\":" << us << '.';
   out << static_cast<char>('0' + frac / 100) << static_cast<char>('0' + (frac / 10) % 10)
       << static_cast<char>('0' + frac % 10);
   if (e.phase == 'i') out << ",\"s\":\"t\"";
@@ -174,9 +166,7 @@ void append_event_json(std::ostream& out, const TraceSnapshot::Event& e, std::ui
     if (has_sim) out << "\"sim_ps\":" << e.sim_ps;
     if (has_arg) {
       if (has_sim) out << ',';
-      out << '"';
-      append_escaped(out, e.arg_name);
-      out << "\":" << e.arg_value;
+      out << '"' << util::json_escape(e.arg_name) << "\":" << e.arg_value;
     }
     out << '}';
   }
@@ -188,9 +178,7 @@ void append_metadata_json(std::ostream& out, const char* meta, std::uint32_t pid
   if (!first) out << ",\n";
   first = false;
   out << "{\"name\":\"" << meta << "\",\"ph\":\"M\",\"pid\":" << pid
-      << ",\"tid\":0,\"ts\":0,\"args\":{\"name\":\"";
-  append_escaped(out, value);
-  out << "\"}}";
+      << ",\"tid\":0,\"ts\":0,\"args\":{\"name\":\"" << util::json_escape(value) << "\"}}";
 }
 
 // -- snapshot byte codec ----------------------------------------------------
@@ -198,53 +186,11 @@ void append_metadata_json(std::ostream& out, const char* meta, std::uint32_t pid
 inline constexpr std::uint32_t kSnapshotMagic = 0x4352544Eu;  // "NTRC"
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-struct SnapshotReader {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (pos + n > data.size()) {
-      throw util::RuntimeError("truncated trace snapshot (need " + std::to_string(n) +
-                               " bytes, have " + std::to_string(data.size() - pos) + ")");
-    }
-  }
-  std::uint32_t u32() {
-    need(4);
-    const std::uint32_t v = static_cast<std::uint32_t>(data[pos]) | (data[pos + 1] << 8) |
-                            (data[pos + 2] << 16) |
-                            (static_cast<std::uint32_t>(data[pos + 3]) << 24);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string out(reinterpret_cast<const char*>(data.data() + pos), n);
-    pos += n;
-    return out;
-  }
-};
+/// Smallest encodings of a thread header (tid, dropped, event count) and of
+/// an event (phase, four u64 fields, three empty blobs): the floors the
+/// decoder's count checks use.
+inline constexpr std::size_t kMinThreadBytes = 4 + 8 + 4;
+inline constexpr std::size_t kMinEventBytes = 1 + 4 * 8 + 3 * 4;
 
 }  // namespace
 
@@ -354,58 +300,51 @@ TraceSnapshot take_trace_snapshot() {
 }
 
 std::vector<std::uint8_t> encode_trace_snapshot(const TraceSnapshot& snapshot) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kSnapshotMagic);
-  put_u32(out, kSnapshotVersion);
-  put_u32(out, static_cast<std::uint32_t>(snapshot.threads.size()));
+  util::ByteWriter w;
+  w.u32(kSnapshotMagic);
+  w.u32(kSnapshotVersion);
+  w.u32(static_cast<std::uint32_t>(snapshot.threads.size()));
   for (const TraceSnapshot::Thread& thread : snapshot.threads) {
-    put_u32(out, thread.tid);
-    put_u64(out, thread.dropped);
-    put_u32(out, static_cast<std::uint32_t>(thread.events.size()));
+    w.u32(thread.tid);
+    w.u64(thread.dropped);
+    w.u32(static_cast<std::uint32_t>(thread.events.size()));
     for (const TraceSnapshot::Event& e : thread.events) {
-      out.push_back(static_cast<std::uint8_t>(e.phase));
-      put_u64(out, e.ts_ns);
-      put_u64(out, e.sim_ps);
-      put_u64(out, e.arg_value);
-      put_u64(out, e.flow_id);
-      put_str(out, e.name);
-      put_str(out, e.cat);
-      put_str(out, e.arg_name);
+      w.u8(static_cast<std::uint8_t>(e.phase));
+      w.u64(e.ts_ns);
+      w.u64(e.sim_ps);
+      w.u64(e.arg_value);
+      w.u64(e.flow_id);
+      w.blob(util::as_bytes(e.name));
+      w.blob(util::as_bytes(e.cat));
+      w.blob(util::as_bytes(e.arg_name));
     }
   }
-  return out;
+  return w.take();
 }
 
 TraceSnapshot decode_trace_snapshot(std::span<const std::uint8_t> bytes) {
-  SnapshotReader r{bytes};
+  util::ByteReader r(bytes, "trace snapshot");
   if (r.u32() != kSnapshotMagic) throw util::RuntimeError("trace snapshot: bad magic");
   const std::uint32_t version = r.u32();
   if (version != kSnapshotVersion) {
     throw util::RuntimeError("trace snapshot: unsupported version " + std::to_string(version));
   }
   TraceSnapshot snapshot;
-  const std::uint32_t threads = r.u32();
-  snapshot.threads.reserve(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    TraceSnapshot::Thread thread;
+  snapshot.threads.resize(r.count(kMinThreadBytes));
+  for (TraceSnapshot::Thread& thread : snapshot.threads) {
     thread.tid = r.u32();
     thread.dropped = r.u64();
-    const std::uint32_t events = r.u32();
-    thread.events.reserve(events);
-    for (std::uint32_t i = 0; i < events; ++i) {
-      TraceSnapshot::Event e;
-      r.need(1);
-      e.phase = static_cast<char>(r.data[r.pos++]);
+    thread.events.resize(r.count(kMinEventBytes));
+    for (TraceSnapshot::Event& e : thread.events) {
+      e.phase = static_cast<char>(r.u8());
       e.ts_ns = r.u64();
       e.sim_ps = r.u64();
       e.arg_value = r.u64();
       e.flow_id = r.u64();
-      e.name = r.str();
-      e.cat = r.str();
-      e.arg_name = r.str();
-      thread.events.push_back(std::move(e));
+      e.name = r.blob_str();
+      e.cat = r.blob_str();
+      e.arg_name = r.blob_str();
     }
-    snapshot.threads.push_back(std::move(thread));
   }
   return snapshot;
 }

@@ -1,5 +1,6 @@
 #include "router/packet.hpp"
 
+#include "util/bytes.hpp"
 #include "util/checksum.hpp"
 
 namespace nisc::router {
@@ -14,14 +15,8 @@ std::array<std::uint32_t, kWireWords> Packet::wire_words() const noexcept {
 
 std::vector<std::uint8_t> Packet::checksum_bytes() const {
   auto words = wire_words();
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kWireWords * 4);
-  for (std::uint32_t w : words) {
-    bytes.push_back(static_cast<std::uint8_t>(w));
-    bytes.push_back(static_cast<std::uint8_t>(w >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(w >> 16));
-    bytes.push_back(static_cast<std::uint8_t>(w >> 24));
-  }
+  std::vector<std::uint8_t> bytes(kWireWords * 4);
+  for (std::size_t i = 0; i < words.size(); ++i) util::store_le32(&bytes[4 * i], words[i]);
   return bytes;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "util/bytes.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"

@@ -1,5 +1,7 @@
 #include "util/hex.hpp"
 
+#include "util/bytes.hpp"
+
 namespace nisc::util {
 
 char hex_digit(unsigned nibble) {
@@ -54,20 +56,6 @@ Result<std::uint32_t> hex_decode_u32_le(std::string_view hex) {
     return Result<std::uint32_t>::failure("hex_decode_u32_le: need 8 hex chars");
   }
   return read_le(bytes.value(), 4);
-}
-
-std::uint32_t read_le(std::span<const std::uint8_t> bytes, unsigned width) {
-  require(width >= 1 && width <= 4, "read_le: width must be 1..4");
-  require(bytes.size() >= width, "read_le: span too small");
-  std::uint32_t v = 0;
-  for (unsigned i = 0; i < width; ++i) v |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  return v;
-}
-
-void write_le(std::span<std::uint8_t> bytes, unsigned width, std::uint32_t value) {
-  require(width >= 1 && width <= 4, "write_le: width must be 1..4");
-  require(bytes.size() >= width, "write_le: span too small");
-  for (unsigned i = 0; i < width; ++i) bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
 }  // namespace nisc::util

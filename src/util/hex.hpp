@@ -1,4 +1,4 @@
-// Hex and little-endian byte codecs used by the RSP protocol and the ISS.
+// Hex codecs used by the RSP protocol (little-endian integers: util/bytes.hpp).
 #pragma once
 
 #include <cstdint>
@@ -29,12 +29,5 @@ std::string hex_encode_u32_le(std::uint32_t value);
 
 /// Inverse of hex_encode_u32_le.
 Result<std::uint32_t> hex_decode_u32_le(std::string_view hex);
-
-/// Reads a little-endian value of Width bytes from `bytes` (must have at
-/// least Width elements).
-std::uint32_t read_le(std::span<const std::uint8_t> bytes, unsigned width);
-
-/// Writes the low `width` bytes of `value` little-endian into `bytes`.
-void write_le(std::span<std::uint8_t> bytes, unsigned width, std::uint32_t value);
 
 }  // namespace nisc::util

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -139,6 +140,9 @@ class JsonParser {
       if (pos_ >= text_.size()) parse_fail(pos_, "unterminated string");
       char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        parse_fail(pos_ - 1, "raw control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -249,6 +253,29 @@ JsonValue parse_json_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse_json(buf.str());
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace nisc::util

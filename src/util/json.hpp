@@ -1,7 +1,8 @@
 // Minimal recursive-descent JSON parser (RFC 8259 subset, no surrogate
-// escapes). In-repo consumers: the Chrome-trace exporter round-trip test,
-// the cosim_stat report tool, and the BENCH_*.json regression check — all
-// read-side tooling, none performance-critical.
+// escapes) and the string escaper every JSON emitter shares. Parser
+// consumers: the Chrome-trace exporter round-trip test, the cosim_stat
+// report tool, and the BENCH_*.json regression check — all read-side
+// tooling, none performance-critical.
 #pragma once
 
 #include <cstdint>
@@ -64,5 +65,9 @@ JsonValue parse_json(std::string_view text);
 
 /// Reads and parses a JSON file. Throws RuntimeError on I/O or parse error.
 JsonValue parse_json_file(const std::string& path);
+
+/// Escapes a string for embedding in a JSON string literal (no quotes
+/// added): quotes, backslashes and every control character below 0x20.
+std::string json_escape(std::string_view s);
 
 }  // namespace nisc::util

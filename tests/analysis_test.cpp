@@ -31,6 +31,7 @@
 #include "router/testbench.hpp"
 #include "rtos/rtos.hpp"
 #include "sysc/sysc.hpp"
+#include "util/json.hpp"
 
 namespace nisc::analysis {
 namespace {
@@ -68,7 +69,7 @@ TEST(DiagEngineTest, PerRuleSuppression) {
 }
 
 TEST(DiagEngineTest, JsonEscaping) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(util::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 // ---------------------------------------------------------------- race detector

@@ -15,10 +15,9 @@
 #include "ipc/fault.hpp"
 #include "ipc/fd.hpp"
 #include "ipc/message.hpp"
-#include "ipc/retry.hpp"
+#include "util/bytes.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
-#include "util/hex.hpp"
 
 namespace nisc::ipc {
 namespace {
@@ -341,39 +340,13 @@ std::uint16_t probe_free_port() {
 }
 }  // namespace
 
-TEST(TcpEdgeTest, ConnectBeforeListenRecoveredByRetry) {
-  std::uint16_t port = probe_free_port();
-  std::thread late_listener([port] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    TcpListener listener(port);
-    Channel server = listener.accept(2000);
-    std::uint8_t buf[2];
-    server.recv_exact(buf);
-    server.send(std::span<const std::uint8_t>(buf, 2));  // echo
-  });
-  RetryPolicy policy;
-  policy.max_attempts = 20;
-  policy.initial_backoff_ms = 10;
-  policy.max_backoff_ms = 50;
-  Channel client = tcp_connect(port, policy);  // first attempts are refused
-  client.send_str("ok");
-  std::uint8_t buf[2];
-  client.recv_exact(buf);
-  EXPECT_EQ(buf[0], 'o');
-  late_listener.join();
-}
-
 TEST(TcpEdgeTest, ConnectExhaustsRetriesAndThrows) {
   std::uint16_t port = probe_free_port();  // nobody listens on it
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_ms = 1;
-  policy.max_backoff_ms = 5;
   try {
-    (void)tcp_connect(port, policy);
+    (void)tcp_connect(port);
     FAIL() << "connect to a dead port succeeded";
   } catch (const RuntimeError& e) {
-    EXPECT_NE(std::string(e.what()).find("attempt"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("refused"), std::string::npos) << e.what();
   }
 }
 
@@ -395,46 +368,6 @@ TEST(TcpEdgeTest, PeerCloseMidFrameRaisesPromptly) {
                      std::chrono::steady_clock::now() - start)
                      .count();
   EXPECT_LT(elapsed, 5000);  // EOF, not a timeout crawl
-}
-
-// ---------------------------------------------------------------- Backoff
-
-TEST(RetryTest, BackoffIsDeterministicForASeed) {
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  Backoff a(policy);
-  Backoff b(policy);
-  for (int i = 0; i < policy.max_attempts; ++i) {
-    EXPECT_EQ(a.next_delay_ms(), b.next_delay_ms()) << "attempt " << i;
-  }
-}
-
-TEST(RetryTest, BackoffGrowsWithinJitterBoundsAndExhausts) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff_ms = 8;
-  policy.multiplier = 2.0;
-  policy.max_backoff_ms = 40;
-  policy.jitter = 0.25;
-  Backoff backoff(policy);
-  double base = policy.initial_backoff_ms;
-  for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
-    int delay = backoff.next_delay_ms();
-    double capped = std::min(base, static_cast<double>(policy.max_backoff_ms));
-    EXPECT_GE(delay, static_cast<int>(capped)) << "attempt " << attempt;
-    EXPECT_LE(delay, policy.max_backoff_ms) << "attempt " << attempt;
-    base *= policy.multiplier;
-  }
-  EXPECT_EQ(backoff.next_delay_ms(), -1);  // budget exhausted
-  EXPECT_FALSE(backoff.attempts_left());
-}
-
-TEST(RetryTest, SingleAttemptNeverRetries) {
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  Backoff backoff(policy);
-  EXPECT_TRUE(backoff.attempts_left());
-  EXPECT_EQ(backoff.next_delay_ms(), -1);
 }
 
 // ---------------------------------------------------------------- faults

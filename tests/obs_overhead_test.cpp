@@ -17,8 +17,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
-#include "util/hex.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};

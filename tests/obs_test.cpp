@@ -263,6 +263,34 @@ TEST_F(ChromeTraceTest, TraceSnapshotEncodeDecodeRoundTrip) {
       util::RuntimeError);
 }
 
+TEST_F(ChromeTraceTest, ControlCharactersInLabelsStayValidJson) {
+  // A session label, span name or metric name may carry a tab or CR; both
+  // exporters must escape it so strict RFC 8259 parsers accept the output.
+  const std::string label = "sess\tion\r1";
+  obs::ProcessTrace process;
+  process.pid = 7;
+  process.label = label;
+  obs::TraceSnapshot::Thread thread;
+  thread.tid = 1;
+  thread.events.push_back({"span\tname", "cat\r", "arg\n", 3, 1000, obs::kNoSimTime, 0, 'i'});
+  process.snapshot.threads.push_back(thread);
+  const std::string trace_text = obs::chrome_trace_json({&process, 1});
+  EXPECT_EQ(trace_text.find_first_of("\t\r"), std::string::npos) << trace_text;
+  const util::JsonValue trace = util::parse_json(trace_text);
+  const util::JsonArray& events = trace.at("traceEvents").as_array();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at("args").at("name").as_string(), label);
+  EXPECT_EQ(events[1].at("name").as_string(), "span\tname");
+  EXPECT_EQ(events[1].at("cat").as_string(), "cat\r");
+  EXPECT_EQ(events[1].at("args").at("arg\n").as_uint(), 3u);
+
+  obs::counter(label).add(2);
+  const std::string metrics_text = obs::MetricsRegistry::instance().render_json();
+  EXPECT_EQ(metrics_text.find_first_of("\t\r"), std::string::npos);
+  const util::JsonValue metrics = util::parse_json(metrics_text);
+  EXPECT_GE(metrics.at("counters").at(label).as_uint(), 2u);
+}
+
 TEST_F(ChromeTraceTest, MergedExportAlignsClocksAndLinksFlows) {
   // Two hand-built process snapshots: a supervisor-side flow start and a
   // worker-side flow finish sharing one id, with the worker clock 5µs

@@ -11,6 +11,7 @@
 #include "iss/cpu.hpp"
 #include "iss/isa.hpp"
 #include "rsp/packet.hpp"
+#include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"

@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <set>
 
+#include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
+#include "util/json.hpp"
 #include "util/loc.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -330,6 +332,28 @@ TEST(LocTest, Empty) {
 TEST(LocTest, CodeBeforeBlockComment) {
   auto loc = count_loc("int x; /* start\n end */ int y;\n");
   EXPECT_EQ(loc.code, 2);
+}
+
+// ---------------------------------------------------------------- json
+
+TEST(JsonTest, EscapeCoversEveryControlCharacter) {
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\t\r\n"), "\\t\\r\\n");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string raw(1, static_cast<char>(c));
+    std::string literal = "\"";
+    literal += json_escape(raw);
+    literal += '"';
+    EXPECT_EQ(parse_json(literal).as_string(), raw) << "char " << c;
+  }
+}
+
+TEST(JsonTest, ParserRejectsRawControlCharactersInStrings) {
+  EXPECT_THROW(parse_json("\"a\tb\""), RuntimeError);
+  EXPECT_THROW(parse_json("{\"k\r\":1}"), RuntimeError);
+  EXPECT_EQ(parse_json("\"a\\tb\"").as_string(), "a\tb");
+  EXPECT_EQ(parse_json(" {\n\t\"k\": 1\r\n} ").at("k").as_int(), 1);  // whitespace is fine
 }
 
 }  // namespace

@@ -75,6 +75,7 @@
 #include "analysis/protocol.hpp"
 #include "router/guest_programs.hpp"
 #include "rtos/rtos.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 using namespace nisc;
@@ -306,7 +307,7 @@ int main(int argc, char** argv) {
     stats_total.clone_overflows += result.stats.clone_overflows;
     if (result.summaries_json.empty()) return;
     if (!summaries_json.empty()) summaries_json += ",";
-    summaries_json += "{\"file\":\"" + analysis::json_escape(file) + "\"," +
+    summaries_json += "{\"file\":\"" + util::json_escape(file) + "\"," +
                       result.summaries_json + "}";
   };
 
