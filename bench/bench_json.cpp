@@ -57,46 +57,29 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
 }  // namespace
 
 std::string Recorder::render_json() const {
-  std::string out = "{\"schema\":1,\"bench\":\"" + util::json_escape(bench_) + "\",\"quick\":";
-  out += quick_mode() ? "true" : "false";
-  out += ",\"results\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("schema").value(1).key("bench").value(bench_);
+  w.key("quick").value(quick_mode()).key("results").begin_array();
   for (const Series& s : series_) {
-    if (!first) out += ',';
-    first = false;
     std::vector<double> sorted = s.values;
     std::sort(sorted.begin(), sorted.end());
-    out += "{\"name\":\"" + util::json_escape(s.name) + "\",\"unit\":\"" +
-           util::json_escape(s.unit) + "\",\"runs\":[";
-    for (std::size_t i = 0; i < s.values.size(); ++i) {
-      if (i > 0) out += ',';
-      append_double(out, s.values[i]);
-    }
-    out += "],\"median\":";
-    append_double(out, quantile_sorted(sorted, 0.5));
-    out += ",\"p90\":";
-    append_double(out, quantile_sorted(sorted, 0.9));
-    out += '}';
+    w.begin_object().key("name").value(s.name).key("unit").value(s.unit).key("runs").begin_array();
+    for (const double v : s.values) w.value(v);
+    w.end_array().key("median").value(quantile_sorted(sorted, 0.5));
+    w.key("p90").value(quantile_sorted(sorted, 0.9)).end_object();
   }
-  out += "],\"metrics\":";
+  w.end_array().key("metrics");
   // Embed the registry snapshot only if the run touched it: writing the
   // report must not be the first registry touch.
   if (obs::MetricsRegistry::exists()) {
-    out += obs::MetricsRegistry::instance().render_json();
+    w.raw(obs::MetricsRegistry::instance().render_json());
   } else {
-    out += "null";
+    w.null();
   }
-  out += "}\n";
-  return out;
+  return w.end_object().str();
 }
 
 bool Recorder::write() const {
@@ -106,7 +89,7 @@ bool Recorder::write() const {
     std::fprintf(stderr, "bench: cannot write %s\n", file.c_str());
     return false;
   }
-  out << render_json();
+  out << render_json() << '\n';
   std::printf("wrote %s\n", file.c_str());
   return true;
 }

@@ -59,7 +59,7 @@ struct ObsCli {
       } else if (!out) {
         std::fprintf(stderr, "cannot write stats to %s\n", stats_out.c_str());
       } else {
-        out << "{\"schema\":1,\"counters\":{},\"gauges\":{},\"histograms\":{}}\n";
+        out << obs::render_snapshot_json({}) << '\n';
       }
     }
   }

@@ -1,9 +1,5 @@
 #include "analysis/diag.hpp"
 
-#include <sstream>
-
-#include "util/json.hpp"
-
 namespace nisc::analysis {
 
 const char* severity_name(Severity severity) noexcept {
@@ -87,24 +83,15 @@ std::string render_text(const DiagEngine& engine) {
   return out;
 }
 
-std::string render_json(const DiagEngine& engine, std::string_view extra_json) {
-  std::ostringstream out;
-  out << "{\"schema\":1,\"diagnostics\":[";
-  bool first = true;
+void render_json(util::JsonWriter& w, const DiagEngine& engine) {
+  w.key("schema").value(1).key("diagnostics").begin_array();
   for (const Diagnostic& d : engine.diagnostics()) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"severity\":\"" << severity_name(d.severity) << "\""
-        << ",\"rule\":\"" << util::json_escape(d.rule) << "\""
-        << ",\"message\":\"" << util::json_escape(d.message) << "\""
-        << ",\"file\":\"" << util::json_escape(d.loc.file) << "\""
-        << ",\"line\":" << d.loc.line << ",\"column\":" << d.loc.column << '}';
+    w.begin_object().key("severity").value(severity_name(d.severity)).key("rule").value(d.rule);
+    w.key("message").value(d.message).key("file").value(d.loc.file);
+    w.key("line").value(d.loc.line).key("column").value(d.loc.column).end_object();
   }
-  out << "],\"errors\":" << engine.errors() << ",\"warnings\":" << engine.warnings()
-      << ",\"suppressed\":" << engine.suppressed_count();
-  if (!extra_json.empty()) out << ',' << extra_json;
-  out << "}";
-  return out.str();
+  w.end_array().key("errors").value(engine.errors()).key("warnings").value(engine.warnings());
+  w.key("suppressed").value(engine.suppressed_count());
 }
 
 }  // namespace nisc::analysis

@@ -15,6 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace nisc::analysis {
 
 enum class Severity : std::uint8_t { Note = 0, Warning = 1, Error = 2 };
@@ -85,12 +87,12 @@ class DiagEngine {
 /// One line per diagnostic plus a summary line ("2 errors, 1 warning").
 std::string render_text(const DiagEngine& engine);
 
-/// Machine-readable report:
-///   {"diagnostics":[{"severity":"error","rule":"...","message":"...",
-///     "file":"...","line":N,"column":N}],"errors":N,"warnings":N,
-///     "suppressed":N}
-/// `extra_json`, when non-empty, is appended verbatim as additional
-/// top-level members (it must be one or more `"key":value` fragments).
-std::string render_json(const DiagEngine& engine, std::string_view extra_json = {});
+/// Machine-readable report members, written into the object `w` has open so
+/// a caller can append members of its own (cosim_lint's protocol, summaries
+/// and stats):
+///   "schema":1,"diagnostics":[{"severity":"error","rule":"...",
+///     "message":"...","file":"...","line":N,"column":N}],"errors":N,
+///     "warnings":N,"suppressed":N
+void render_json(util::JsonWriter& w, const DiagEngine& engine);
 
 }  // namespace nisc::analysis

@@ -5,8 +5,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "util/json.hpp"
-
 namespace nisc::analysis {
 
 EnvOptions EnvOptions::faulty() {
@@ -539,50 +537,23 @@ std::string render_text(const ExploreReport& report) {
   return out;
 }
 
-std::string render_json(const ExploreReport& report) {
-  std::string out;
-  const auto field = [&out](const char* name, const std::string& value, bool quoted) {
-    if (!out.empty() && out.back() != '{' && out.back() != '[') out += ",";
-    out += "\"";
-    out += name;
-    out += quoted ? "\":\"" : "\":";
-    out += value;
-    if (quoted) out += "\"";
-  };
-  const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
-  out += "{";
-  field("model", util::json_escape(report.model), true);
-  out += ",\"env\":{";
-  field("capacity", std::to_string(report.env.channel_capacity), false);
-  field("lossy", flag(report.env.lossy), false);
-  field("duplicating", flag(report.env.duplicating), false);
-  field("corrupting", flag(report.env.corrupting), false);
-  field("disconnecting", flag(report.env.disconnecting), false);
-  field("crashing", flag(report.env.crashing), false);
-  field("max_crashes", std::to_string(report.env.max_crashes), false);
-  out += "}";
-  field("states", std::to_string(report.states), false);
-  field("edges", std::to_string(report.edges), false);
-  field("complete", flag(report.complete), false);
-  out += ",\"violations\":[";
-  for (std::size_t i = 0; i < report.violations.size(); ++i) {
-    const Counterexample& ce = report.violations[i];
-    if (i > 0) out += ",";
-    out += "{";
-    field("kind", violation_kind_name(ce.kind), true);
-    field("rule", violation_rule(ce.kind), true);
-    field("state", util::json_escape(ce.state), true);
-    out += ",\"trace\":[";
-    for (std::size_t j = 0; j < ce.trace.size(); ++j) {
-      if (j > 0) out += ",";
-      out += "\"";
-      out += util::json_escape(ce.trace[j].text);
-      out += "\"";
-    }
-    out += "]}";
+void render_json(util::JsonWriter& w, const ExploreReport& report) {
+  const EnvOptions& env = report.env;
+  w.begin_object().key("model").value(report.model).key("env").begin_object();
+  w.key("capacity").value(env.channel_capacity).key("lossy").value(env.lossy);
+  w.key("duplicating").value(env.duplicating).key("corrupting").value(env.corrupting);
+  w.key("disconnecting").value(env.disconnecting).key("crashing").value(env.crashing);
+  w.key("max_crashes").value(env.max_crashes).end_object();
+  w.key("states").value(report.states).key("edges").value(report.edges);
+  w.key("complete").value(report.complete).key("violations").begin_array();
+  for (const Counterexample& ce : report.violations) {
+    w.begin_object().key("kind").value(violation_kind_name(ce.kind));
+    w.key("rule").value(violation_rule(ce.kind)).key("state").value(ce.state);
+    w.key("trace").begin_array();
+    for (const TraceStep& step : ce.trace) w.value(step.text);
+    w.end_array().end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
 }
 
 FaultPlanResult fault_plan_for(const Counterexample& ce, char endpoint) {

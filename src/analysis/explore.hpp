@@ -121,9 +121,9 @@ void report_violations(const ExploreReport& report, DiagEngine& diags);
 /// Multi-line human rendering of the report (summary + traces).
 std::string render_text(const ExploreReport& report);
 
-/// JSON object fragment (no surrounding braces' siblings) for embedding in
-/// cosim_lint --json output: {"model":...,"states":N,...,"violations":[...]}.
-std::string render_json(const ExploreReport& report);
+/// Writes the report as one JSON object value, the element of cosim_lint's
+/// --json "protocol" array: {"model":...,"states":N,...,"violations":[...]}.
+void render_json(util::JsonWriter& w, const ExploreReport& report);
 
 /// A FaultPlan reproducing a counterexample's environment faults as
 /// `endpoint`-side send faults ('A' or 'B'): the trace's nth Send by that

@@ -735,7 +735,7 @@ void run_context_pass(const Cfg& cfg, const CallGraph& cg, const SummaryTable& t
 
 void check_flow(const iss::Program& program, const std::vector<cosim::PragmaBinding>& bindings,
                 const FlowOptions& options, const FlowReport& report,
-                std::string* summaries_json, FlowStats* stats) {
+                util::JsonWriter* summaries, FlowStats* stats) {
   Cfg cfg = Cfg::build(program);
   if (cfg.blocks().empty() || cfg.entry() == Cfg::npos) return;
 
@@ -767,7 +767,7 @@ void check_flow(const iss::Program& program, const std::vector<cosim::PragmaBind
       check_abi_preservation(cfg, cg, table, domain, flow, buffer);
       check_dead_binding_writes(cfg, program, bindings, flow, domain, reachable, buffer);
       run_context_pass(cfg, cg, table, domain, flow, program, bindings, options, buffer);
-      if (summaries_json != nullptr) *summaries_json = render_summaries_json(cg, table);
+      if (summaries != nullptr) render_summaries_json(*summaries, cg, table);
       if (stats != nullptr) {
         const SummaryStats& ss = table.stats();
         stats->functions = ss.functions;

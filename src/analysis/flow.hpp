@@ -76,6 +76,7 @@
 #include "analysis/diag.hpp"
 #include "cosim/pragma.hpp"
 #include "iss/program.hpp"
+#include "util/json.hpp"
 
 namespace nisc::analysis {
 
@@ -106,11 +107,12 @@ using FlowReport =
     std::function<void(Severity severity, std::string rule, std::string message, int line)>;
 
 /// Runs every NL3xx rule over an assembled program and its pragma bindings.
-/// When `summaries_json` is non-null and the interprocedural pass ran, it
-/// receives the "context_k":K,"functions":[...] summary-dump fragment (see
-/// summary.hpp); `stats`, when non-null, receives the precision counters.
+/// When `summaries` is non-null and the interprocedural pass ran, the
+/// summary-dump members "context_k":K,"functions":[...] are written into the
+/// object it has open (see summary.hpp); `stats`, when non-null, receives
+/// the precision counters.
 void check_flow(const iss::Program& program, const std::vector<cosim::PragmaBinding>& bindings,
                 const FlowOptions& options, const FlowReport& report,
-                std::string* summaries_json = nullptr, FlowStats* stats = nullptr);
+                util::JsonWriter* summaries = nullptr, FlowStats* stats = nullptr);
 
 }  // namespace nisc::analysis

@@ -270,13 +270,17 @@ LintResult lint_guest_source(std::string_view source, const std::string& file,
   // 5. Flow-sensitive NL3xx rules over the assembled program's CFG.
   if (result.assembled && options.flow) {
     FlowStats flow_stats;
+    util::JsonWriter summaries;
+    summaries.begin_object().key("file").value(file);
     check_flow(
         result.program, result.bindings,
         FlowOptions{options.mem_size, options.interproc, options.context_k},
         [&](Severity severity, std::string rule, std::string message, int line) {
           report(severity, std::move(rule), std::move(message), line);
         },
-        &result.summaries_json, &flow_stats);
+        &summaries, &flow_stats);
+    // Only an interprocedural pass that ran counts functions and dumps them.
+    if (flow_stats.functions > 0) result.summaries_json = summaries.end_object().str();
     result.stats.functions = flow_stats.functions;
     result.stats.clones = flow_stats.clones;
     result.stats.havoc_summaries = flow_stats.havoc_summaries;

@@ -81,7 +81,7 @@ struct LintResult {
   bool assembled = false;                        ///< program assembled cleanly
   iss::Program program;                          ///< valid when assembled
   std::vector<cosim::PragmaBinding> bindings;    ///< parsed pragma bindings
-  /// `"context_k":K,"functions":[...]` summary-dump fragment from the
+  /// `{"file":F,"context_k":K,"functions":[...]}` summary dump from the
   /// interprocedural pass; empty when the pass did not run (summary.hpp).
   std::string summaries_json;
   /// Precision counters; all zero when the interprocedural pass did not run.

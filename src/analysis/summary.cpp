@@ -6,7 +6,6 @@
 #include "analysis/dataflow.hpp"
 #include "analysis/diag.hpp"
 #include "iss/isa.hpp"
-#include "util/json.hpp"
 
 namespace nisc::analysis {
 namespace {
@@ -441,60 +440,32 @@ std::map<std::uint32_t, FunctionSummary> SummaryTable::site_summaries(const Call
   return map;
 }
 
-std::string render_summaries_json(const CallGraph& cg, const SummaryTable& table) {
-  std::string out = "\"context_k\":";
-  out += std::to_string(table.context_k());
-  out += ",\"functions\":[";
-  bool first_entry = true;
+void render_summaries_json(util::JsonWriter& w, const CallGraph& cg, const SummaryTable& table) {
+  w.key("context_k").value(table.context_k()).key("functions").begin_array();
   auto emit = [&](std::size_t f, const Context& ctx, const FunctionSummary& s) {
     const Function& fn = cg.functions()[f];
-    if (!first_entry) out += ',';
-    first_entry = false;
-    out += "{\"name\":\"";
-    out += util::json_escape(fn.name);
-    out += "\",\"entry\":";
-    out += std::to_string(fn.entry_addr);
-    out += ",\"context\":[";
-    for (std::size_t i = 0; i < ctx.size(); ++i) {
-      if (i) out += ',';
-      out += std::to_string(cg.sites()[ctx[i]].line);
+    w.begin_object().key("name").value(fn.name).key("entry").value(fn.entry_addr);
+    w.key("context").begin_array();
+    for (const std::size_t site : ctx) w.value(cg.sites()[site].line);
+    w.end_array().key("havoc").value(s.havoc).key("returns").value(s.reached_ret);
+    w.key("sp_delta");
+    if (s.sp_delta) {
+      w.value(*s.sp_delta);
+    } else {
+      w.null();
     }
-    out += "],\"havoc\":";
-    out += s.havoc ? "true" : "false";
-    out += ",\"returns\":";
-    out += s.reached_ret ? "true" : "false";
-    out += ",\"sp_delta\":";
-    out += s.sp_delta ? std::to_string(*s.sp_delta) : "null";
-    out += ",\"reads\":[";
-    for (std::size_t i = 0; i < s.entry_reads.size(); ++i) {
-      if (i) out += ',';
-      out += "{\"reg\":\"";
-      out += iss::reg_abi_name(s.entry_reads[i].reg);
-      out += "\",\"line\":";
-      out += std::to_string(s.entry_reads[i].line);
-      out += '}';
+    w.key("reads").begin_array();
+    for (const EntryRead& read : s.entry_reads) {
+      w.begin_object().key("reg").value(iss::reg_abi_name(read.reg));
+      w.key("line").value(read.line).end_object();
     }
-    out += "],\"mem\":[";
-    for (std::size_t i = 0; i < s.mem.size(); ++i) {
-      const MemAccess& m = s.mem[i];
-      if (i) out += ',';
-      out += "{\"reg\":\"";
-      out += iss::reg_abi_name(m.entry_reg);
-      out += "\",\"lo\":";
-      out += std::to_string(m.offset.lo);
-      out += ",\"hi\":";
-      out += std::to_string(m.offset.hi);
-      out += ",\"size\":";
-      out += std::to_string(m.size);
-      out += ",\"store\":";
-      out += m.is_store ? "true" : "false";
-      out += ",\"line\":";
-      out += std::to_string(m.line);
-      out += '}';
+    w.end_array().key("mem").begin_array();
+    for (const MemAccess& m : s.mem) {
+      w.begin_object().key("reg").value(iss::reg_abi_name(m.entry_reg));
+      w.key("lo").value(m.offset.lo).key("hi").value(m.offset.hi).key("size").value(m.size);
+      w.key("store").value(m.is_store).key("line").value(m.line).end_object();
     }
-    out += "],\"mem_truncated\":";
-    out += s.mem_truncated ? "true" : "false";
-    out += '}';
+    w.end_array().key("mem_truncated").value(s.mem_truncated).end_object();
   };
   for (std::size_t f = 0; f < cg.functions().size(); ++f) {
     const FunctionSummary& root = table.of(f);
@@ -508,8 +479,7 @@ std::string render_summaries_json(const CallGraph& cg, const SummaryTable& table
       emit(f, ctx, s);
     }
   }
-  out += ']';
-  return out;
+  w.end_array();
 }
 
 }  // namespace nisc::analysis

@@ -61,6 +61,7 @@
 #include "analysis/absint.hpp"
 #include "analysis/callgraph.hpp"
 #include "analysis/cfg.hpp"
+#include "util/json.hpp"
 
 namespace nisc::analysis {
 
@@ -239,11 +240,12 @@ class SummaryTable {
   std::size_t context_k_ = 1;
 };
 
-/// JSON fragment `"context_k":K,"functions":[...]` describing every summary
-/// (dumped under the cosim_lint --json "summaries" member; schema documented
-/// in DESIGN.md §8.6). The root clone of each function is always emitted
-/// (with "context":[]); non-root clones appear only when their summary
-/// differs from the root's, carrying the call-string line list.
-std::string render_summaries_json(const CallGraph& cg, const SummaryTable& table);
+/// Writes the members `"context_k":K,"functions":[...]` describing every
+/// summary into the object `w` has open (dumped under the cosim_lint --json
+/// "summaries" member; schema documented in DESIGN.md §8.6). The root clone
+/// of each function is always emitted (with "context":[]); non-root clones
+/// appear only when their summary differs from the root's, carrying the
+/// call-string line list.
+void render_summaries_json(util::JsonWriter& w, const CallGraph& cg, const SummaryTable& table);
 
 }  // namespace nisc::analysis

@@ -20,6 +20,7 @@
 #include "sysc/sc_time.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace nisc::cosim {
 
@@ -375,17 +376,12 @@ struct Supervisor::Impl {
       write_file(dir / "findings.txt", findings);
       files.push_back("findings.txt");
 
-      std::string manifest = "{\"schema\":1,\"session\":\"" + cfg.session_label +
-                             "\",\"reason\":\"" + reason +
-                             "\",\"recoveries\":" + std::to_string(outcome.recoveries) +
-                             ",\"clock_offset_ns\":" + std::to_string(outcome.clock_offset_ns) +
-                             ",\"files\":[";
-      for (std::size_t i = 0; i < files.size(); ++i) {
-        if (i > 0) manifest += ',';
-        manifest += '"' + files[i] + '"';
-      }
-      manifest += "]}\n";
-      write_file(dir / "MANIFEST.json", manifest);
+      util::JsonWriter manifest;
+      manifest.begin_object().key("schema").value(1).key("session").value(cfg.session_label);
+      manifest.key("reason").value(reason).key("recoveries").value(outcome.recoveries);
+      manifest.key("clock_offset_ns").value(outcome.clock_offset_ns).key("files").begin_array();
+      for (const std::string& file : files) manifest.value(file);
+      write_file(dir / "MANIFEST.json", manifest.end_array().end_object().str() + '\n');
 
       outcome.postmortem_paths.push_back(dir.string());
       static obs::Counter& c_bundles = obs::counter("sup.postmortems");

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -121,41 +120,22 @@ void MetricsRegistry::reset() noexcept {
 }
 
 std::string render_snapshot_json(const MetricsSnapshot& snap) {
-  std::ostringstream out;
-  out << "{\"schema\":1,\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << util::json_escape(name) << "\":" << value;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << util::json_escape(name) << "\":" << value;
-  }
-  out << "},\"histograms\":{";
-  first = true;
+  util::JsonWriter w;
+  w.begin_object().key("schema").value(1).key("counters").begin_object();
+  for (const auto& [name, value] : snap.counters) w.key(name).value(value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : snap.gauges) w.key(name).value(value);
+  w.end_object().key("histograms").begin_object();
   for (const auto& hv : snap.histograms) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << util::json_escape(hv.name) << "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < hv.bounds.size(); ++i) {
-      if (i) out << ',';
-      out << hv.bounds[i];
-    }
-    out << "],\"buckets\":[";
-    for (std::size_t i = 0; i < hv.buckets.size(); ++i) {
-      if (i) out << ',';
-      out << hv.buckets[i];
-    }
-    out << "],\"count\":" << hv.count << ",\"sum\":" << hv.sum << ",\"p50\":" << hv.p50
-        << ",\"p90\":" << hv.p90 << '}';
+    w.key(hv.name).begin_object().key("bounds").begin_array();
+    for (const std::uint64_t bound : hv.bounds) w.value(bound);
+    w.end_array().key("buckets").begin_array();
+    for (const std::uint64_t bucket : hv.buckets) w.value(bucket);
+    w.end_array().key("count").value(hv.count).key("sum").value(hv.sum);
+    w.key("p50").value(hv.p50).key("p90").value(hv.p90).end_object();
   }
-  out << "}}";
-  return out.str();
+  w.end_object().end_object();
+  return w.str();
 }
 
 }  // namespace nisc::obs

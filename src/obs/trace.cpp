@@ -1,12 +1,12 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "util/bytes.hpp"
@@ -137,48 +137,37 @@ std::uint64_t now_ns() noexcept {
 
 bool is_flow_phase(char phase) noexcept { return phase == 's' || phase == 't' || phase == 'f'; }
 
-void append_event_json(std::ostream& out, const TraceSnapshot::Event& e, std::uint32_t pid,
-                       std::uint32_t tid, std::int64_t offset_ns, bool& first) {
-  if (!first) out << ",\n";
-  first = false;
+void append_event_json(util::JsonWriter& w, const TraceSnapshot::Event& e, std::uint32_t pid,
+                       std::uint32_t tid, std::int64_t offset_ns) {
   // Rebase onto the merge target's clock; clamp below at zero (an offset
   // larger than the earliest timestamp would go negative, which Perfetto
   // rejects).
   const std::int64_t shifted = static_cast<std::int64_t>(e.ts_ns) + offset_ns;
   const std::uint64_t ts_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
-  // Chrome trace ts unit is microseconds; keep ns resolution as a fraction.
-  const std::uint64_t us = ts_ns / 1000;
-  const std::uint64_t frac = ts_ns % 1000;
-  out << "{\"name\":\"" << util::json_escape(e.name) << "\",\"cat\":\""
-      << util::json_escape(e.cat) << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << pid
-      << ",\"tid\":" << tid << ",\"ts\":" << us << '.';
-  out << static_cast<char>('0' + frac / 100) << static_cast<char>('0' + (frac / 10) % 10)
-      << static_cast<char>('0' + frac % 10);
-  if (e.phase == 'i') out << ",\"s\":\"t\"";
+  // Chrome trace ts unit is microseconds; keep ns resolution as an exact
+  // three-digit fraction.
+  char ts[32];
+  std::snprintf(ts, sizeof ts, "%llu.%03llu", static_cast<unsigned long long>(ts_ns / 1000),
+                static_cast<unsigned long long>(ts_ns % 1000));
+  w.begin_object().key("name").value(e.name).key("cat").value(e.cat);
+  w.key("ph").value(std::string_view(&e.phase, 1)).key("pid").value(pid).key("tid").value(tid);
+  w.key("ts").raw(ts);
+  if (e.phase == 'i') w.key("s").value("t");
   if (is_flow_phase(e.phase)) {
-    out << ",\"id\":\"0x" << std::hex << e.flow_id << std::dec << '"';
-    if (e.phase == 'f') out << ",\"bp\":\"e\"";
+    char id[24];
+    std::snprintf(id, sizeof id, "0x%llx", static_cast<unsigned long long>(e.flow_id));
+    w.key("id").value(id);
+    if (e.phase == 'f') w.key("bp").value("e");
   }
   const bool has_sim = e.sim_ps != kNoSimTime;
   const bool has_arg = !e.arg_name.empty();
   if (has_sim || has_arg) {
-    out << ",\"args\":{";
-    if (has_sim) out << "\"sim_ps\":" << e.sim_ps;
-    if (has_arg) {
-      if (has_sim) out << ',';
-      out << '"' << util::json_escape(e.arg_name) << "\":" << e.arg_value;
-    }
-    out << '}';
+    w.key("args").begin_object();
+    if (has_sim) w.key("sim_ps").value(e.sim_ps);
+    if (has_arg) w.key(e.arg_name).value(e.arg_value);
+    w.end_object();
   }
-  out << '}';
-}
-
-void append_metadata_json(std::ostream& out, const char* meta, std::uint32_t pid,
-                          const std::string& value, bool& first) {
-  if (!first) out << ",\n";
-  first = false;
-  out << "{\"name\":\"" << meta << "\",\"ph\":\"M\",\"pid\":" << pid
-      << ",\"tid\":0,\"ts\":0,\"args\":{\"name\":\"" << util::json_escape(value) << "\"}}";
+  w.end_object();
 }
 
 // -- snapshot byte codec ----------------------------------------------------
@@ -350,12 +339,13 @@ TraceSnapshot decode_trace_snapshot(std::span<const std::uint8_t> bytes) {
 }
 
 std::string chrome_trace_json(std::span<const ProcessTrace> processes) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object().key("displayTimeUnit").value("ns").key("traceEvents").begin_array();
   for (const ProcessTrace& process : processes) {
     if (!process.label.empty()) {
-      append_metadata_json(out, "process_name", process.pid, process.label, first);
+      w.begin_object().key("name").value("process_name").key("ph").value("M");
+      w.key("pid").value(process.pid).key("tid").value(0).key("ts").value(0);
+      w.key("args").begin_object().key("name").value(process.label).end_object().end_object();
     }
     for (const TraceSnapshot::Thread& thread : process.snapshot.threads) {
       const std::vector<TraceSnapshot::Event>& events = thread.events;
@@ -378,8 +368,7 @@ std::string chrome_trace_json(std::span<const ProcessTrace> processes) {
       }
       for (std::size_t i = 0; i < events.size(); ++i) {
         if (keep[i]) {
-          append_event_json(out, events[i], process.pid, thread.tid, process.clock_offset_ns,
-                            first);
+          append_event_json(w, events[i], process.pid, thread.tid, process.clock_offset_ns);
         }
       }
       // Dangling begins: synthesize ends, innermost first.
@@ -388,12 +377,12 @@ std::string chrome_trace_json(std::span<const ProcessTrace> processes) {
         closer.phase = 'E';
         closer.ts_ns = last_ts;
         closer.arg_name.clear();
-        append_event_json(out, closer, process.pid, thread.tid, process.clock_offset_ns, first);
+        append_event_json(w, closer, process.pid, thread.tid, process.clock_offset_ns);
       }
     }
   }
-  out << "\n]}\n";
-  return out.str();
+  w.end_array().end_object();
+  return w.str();
 }
 
 std::string chrome_trace_json() {

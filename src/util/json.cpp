@@ -1,6 +1,8 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -276,6 +278,101 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+void JsonWriter::begin_value() {
+  if (open_.empty()) {
+    require(out_.empty(), "json writer: a second top-level value");
+  } else if (open_.back() == '{') {
+    require(keyed_, "json writer: an object member needs a key");
+    keyed_ = false;
+  } else if (!first_) {
+    out_ += ',';
+  }
+  first_ = false;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  begin_value();
+  out_ += bracket;
+  open_ += bracket;
+  first_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  require(!open_.empty() && open_.back() == bracket && !keyed_,
+          "json writer: end_* does not match the open container");
+  out_ += bracket == '{' ? '}' : ']';
+  open_.pop_back();
+  first_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  require(!open_.empty() && open_.back() == '{' && !keyed_,
+          "json writer: a key belongs directly inside an object");
+  if (!first_) out_ += ',';
+  out_ += '"' + json_escape(name) + "\":";
+  keyed_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) { return raw('"' + json_escape(s) + '"'); }
+
+template <typename T>
+JsonWriter& JsonWriter::number(T v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  return raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+}
+
+JsonWriter& JsonWriter::value(std::uint64_t v) { return number(v); }
+JsonWriter& JsonWriter::value(std::int64_t v) { return number(v); }
+JsonWriter& JsonWriter::value(bool b) { return raw(b ? "true" : "false"); }
+JsonWriter& JsonWriter::value(double d) { return std::isfinite(d) ? number(d) : null(); }
+JsonWriter& JsonWriter::null() { return raw("null"); }
+
+JsonWriter& JsonWriter::value(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::Null: return null();
+    case JsonValue::Kind::Bool: return value(v.as_bool());
+    case JsonValue::Kind::Number: {
+      // Integer literals are copied exactly, not through a double.
+      const char* first = v.string_.data();
+      const char* last = first + v.string_.size();
+      std::int64_t i = 0;
+      if (auto r = std::from_chars(first, last, i); r.ec == std::errc() && r.ptr == last) {
+        return value(i);
+      }
+      std::uint64_t u = 0;
+      if (auto r = std::from_chars(first, last, u); r.ec == std::errc() && r.ptr == last) {
+        return value(u);
+      }
+      return value(v.as_double());
+    }
+    case JsonValue::Kind::String: return value(v.as_string());
+    case JsonValue::Kind::Array:
+      begin_array();
+      for (const JsonValue& item : v.as_array()) value(item);
+      return end_array();
+    case JsonValue::Kind::Object:
+      begin_object();
+      for (const auto& [name, member] : v.as_object()) key(name).value(member);
+      return end_object();
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view fragment) {
+  begin_value();
+  out_ += fragment;
+  return *this;
+}
+
+const std::string& JsonWriter::str() const {
+  require(open_.empty() && !out_.empty(), "json writer: the document is unfinished");
+  return out_;
 }
 
 }  // namespace nisc::util

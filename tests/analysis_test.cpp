@@ -53,7 +53,10 @@ TEST(DiagEngineTest, CountsAndRendering) {
   EXPECT_NE(text.find("f.s:3: error: first [test.rule-a]"), std::string::npos);
   EXPECT_NE(text.find("1 error, 1 warning"), std::string::npos);
 
-  std::string json = render_json(diags);
+  util::JsonWriter w;
+  w.begin_object();
+  render_json(w, diags);
+  const std::string& json = w.end_object().str();
   EXPECT_NE(json.find("\"rule\":\"test.rule-b\""), std::string::npos);
   EXPECT_NE(json.find("\"errors\":1"), std::string::npos);
 }

@@ -156,7 +156,10 @@ TEST_F(PostmortemTest, MergedTraceCorrelatesWorkerAndSupervisor) {
 TEST_F(PostmortemTest, SigkillMidRunWritesPostmortemBundle) {
   obs::enable_tracing();
   const std::string pm_dir = ::testing::TempDir() + "pm-bundles";
-  SupervisorConfig config = obs_config("pmkill");
+  // A quote and a backslash in the label: MANIFEST.json must escape them.
+  // (No '/': the label also names the bundle directory.)
+  const std::string label = "we\"ird\\label";
+  SupervisorConfig config = obs_config(label);
   config.postmortem_dir = pm_dir;
   // Kill past the second checkpoint (ckpt_every=64) so at least one
   // ObsReport pull has landed before the crash: the bundle then carries
@@ -170,7 +173,7 @@ TEST_F(PostmortemTest, SigkillMidRunWritesPostmortemBundle) {
   EXPECT_EQ(outcome.guest_halt, static_cast<std::uint8_t>(iss::Halt::Ecall));
   ASSERT_EQ(outcome.postmortem_paths.size(), 1u);
   const std::string& bundle = outcome.postmortem_paths[0];
-  EXPECT_NE(bundle.find("pmkill-pm1"), std::string::npos);
+  EXPECT_NE(bundle.find(label + "-pm1"), std::string::npos);
 
   // Every bundle file exists and the structured ones parse.
   const util::JsonValue trace = util::parse_json(slurp(bundle + "/trace.json"));
@@ -196,7 +199,7 @@ TEST_F(PostmortemTest, SigkillMidRunWritesPostmortemBundle) {
 
   const util::JsonValue manifest = util::parse_json(slurp(bundle + "/MANIFEST.json"));
   EXPECT_EQ(manifest.at("schema").as_int(), 1);
-  EXPECT_EQ(manifest.at("session").as_string(), "pmkill");
+  EXPECT_EQ(manifest.at("session").as_string(), label);
   const std::string& reason = manifest.at("reason").as_string();
   EXPECT_TRUE(reason == "sup.recover.death" || reason == "sup.recover.protocol") << reason;
   std::set<std::string> listed;

@@ -303,7 +303,9 @@ TEST(ExploreTest, ReportRenderings) {
   ASSERT_FALSE(report.violations.empty());
   std::string text = render_text(report);
   EXPECT_NE(text.find("deadlock"), std::string::npos);
-  std::string json = render_json(report);
+  util::JsonWriter w;
+  render_json(w, report);
+  const std::string& json = w.str();
   EXPECT_NE(json.find("\"model\":\"gdb-wrapper\""), std::string::npos);
   EXPECT_NE(json.find("\"violations\":["), std::string::npos);
 }

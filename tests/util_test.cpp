@@ -1,7 +1,10 @@
 // Unit tests for nisc::util.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
 
 #include "util/bytes.hpp"
@@ -354,6 +357,113 @@ TEST(JsonTest, ParserRejectsRawControlCharactersInStrings) {
   EXPECT_THROW(parse_json("{\"k\r\":1}"), RuntimeError);
   EXPECT_EQ(parse_json("\"a\\tb\"").as_string(), "a\tb");
   EXPECT_EQ(parse_json(" {\n\t\"k\": 1\r\n} ").at("k").as_int(), 1);  // whitespace is fine
+}
+
+TEST(JsonTest, WriterNestsContainersAndPlacesEveryComma) {
+  JsonWriter w;
+  w.begin_object().key("a").begin_array().value(1).begin_object().end_object();
+  w.begin_array().end_array().value("x").null().end_array();
+  w.key("b").begin_object().key("c").value(true).key("d").value(false).end_object();
+  w.key("e").raw("1.250").end_object();
+  EXPECT_EQ(w.str(), R"({"a":[1,{},[],"x",null],"b":{"c":true,"d":false},"e":1.250})");
+  const JsonValue doc = parse_json(w.str());
+  EXPECT_EQ(doc.at("a").as_array().size(), 5u);
+  EXPECT_TRUE(doc.at("a").as_array()[1].is_object());
+  EXPECT_TRUE(doc.at("b").at("c").as_bool());
+  EXPECT_EQ(doc.at("e").as_double(), 1.25);
+}
+
+TEST(JsonTest, WriterEscapesEveryControlCharacterAndKeepsUtf8) {
+  std::string all_controls;
+  for (int c = 0; c < 0x20; ++c) all_controls += static_cast<char>(c);
+  const std::string text = all_controls + "\"\\/ caf\xc3\xa9 \xe2\x82\xac";
+  JsonWriter w;
+  w.begin_object().key(text).value(text).end_object();
+  EXPECT_EQ(w.str().find_first_of(all_controls), std::string::npos);
+  const JsonValue doc = parse_json(w.str());
+  ASSERT_EQ(doc.as_object().size(), 1u);
+  EXPECT_EQ(doc.as_object().begin()->first, text);
+  EXPECT_EQ(doc.at(text).as_string(), text);
+}
+
+TEST(JsonTest, WriterKeepsIntegerExtremesExact) {
+  JsonWriter w;
+  w.begin_array().value(UINT64_MAX).value(INT64_MIN).value(INT64_MAX).value(0u).value(-1);
+  w.end_array();
+  EXPECT_EQ(w.str(), "[18446744073709551615,-9223372036854775808,9223372036854775807,0,-1]");
+  const JsonValue doc = parse_json(w.str());
+  const JsonArray& a = doc.as_array();
+  EXPECT_EQ(a[0].as_uint(), UINT64_MAX);
+  EXPECT_EQ(a[1].as_int(), INT64_MIN);
+  EXPECT_EQ(a[2].as_int(), INT64_MAX);
+}
+
+TEST(JsonTest, WriterDoublesRoundTripBitExactly) {
+  // Inexact decimals, the smallest subnormal, large magnitudes and a signed zero.
+  const double values[] = {0.1, 2.0 / 3.0, 7.19716425e-06, 5e-324, 1e300, -2.5, -0.0, 1e21};
+  JsonWriter w;
+  w.begin_array();
+  for (const double v : values) w.value(v);
+  w.end_array();
+  const JsonValue doc = parse_json(w.str());
+  const JsonArray& a = doc.as_array();
+  ASSERT_EQ(a.size(), std::size(values));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].as_double()),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << w.str();
+  }
+}
+
+TEST(JsonTest, WriterWritesNonFiniteDoublesAsNull) {
+  JsonWriter w;
+  w.begin_array().value(std::numeric_limits<double>::quiet_NaN());
+  w.value(std::numeric_limits<double>::infinity()).value(-std::numeric_limits<double>::infinity());
+  w.end_array();
+  EXPECT_EQ(w.str(), "[null,null,null]");
+}
+
+TEST(JsonTest, WriterReemitsParsedValues) {
+  const std::string text =
+      R"({"a":[1,-2,18446744073709551615,0.5,"s\"t",true,null],"b":{"c":{}},"d":1e3})";
+  JsonWriter w;
+  w.value(parse_json(text));
+  EXPECT_EQ(w.str(),
+            R"({"a":[1,-2,18446744073709551615,0.5,"s\"t",true,null],"b":{"c":{}},"d":1000})");
+}
+
+TEST(JsonTest, WriterRejectsMismatchedStructure) {
+  {
+    JsonWriter w;
+    w.begin_object();
+    EXPECT_THROW(w.end_array(), LogicError);
+  }
+  {
+    JsonWriter w;
+    w.begin_array();
+    EXPECT_THROW(w.end_object(), LogicError);
+    EXPECT_THROW(w.key("k"), LogicError);  // keys belong in objects
+  }
+  {
+    JsonWriter w;
+    EXPECT_THROW(w.end_object(), LogicError);
+  }
+  {
+    JsonWriter w;
+    w.begin_object().key("k");
+    EXPECT_THROW(w.end_object(), LogicError);  // key without its value
+    EXPECT_THROW(w.str(), LogicError);         // unfinished document
+  }
+  {
+    JsonWriter w;
+    w.begin_object();
+    EXPECT_THROW(w.value(1), LogicError);  // member without a key
+  }
+  {
+    JsonWriter w;
+    w.value(1);
+    EXPECT_THROW(w.value(2), LogicError);  // a second top-level value
+  }
 }
 
 }  // namespace

@@ -297,18 +297,15 @@ int main(int argc, char** argv) {
 
   // Per-file "summaries" JSON members from the interprocedural pass, plus
   // the aggregated precision counters for --stats.
-  std::string summaries_json;
+  std::vector<std::string> summaries;  // one rendered object per linted file
   analysis::LintStats stats_total;
-  auto collect_summaries = [&](const analysis::LintResult& result, const std::string& file) {
+  auto collect_summaries = [&](const analysis::LintResult& result) {
     stats_total.functions += result.stats.functions;
     stats_total.clones += result.stats.clones;
     stats_total.havoc_summaries += result.stats.havoc_summaries;
     stats_total.narrowing_iterations += result.stats.narrowing_iterations;
     stats_total.clone_overflows += result.stats.clone_overflows;
-    if (result.summaries_json.empty()) return;
-    if (!summaries_json.empty()) summaries_json += ",";
-    summaries_json += "{\"file\":\"" + util::json_escape(file) + "\"," +
-                      result.summaries_json + "}";
+    if (!result.summaries_json.empty()) summaries.push_back(result.summaries_json);
   };
 
   for (const std::string& path : sources) {
@@ -323,19 +320,16 @@ int main(int argc, char** argv) {
     }
     if (rtos_prelude) text = rtos::guest_abi_prelude() + text;
     const std::string file = path == "-" ? "<stdin>" : path;
-    collect_summaries(analysis::lint_guest_source(text, file, diags, options), file);
+    collect_summaries(analysis::lint_guest_source(text, file, diags, options));
   }
 
   if (builtin) {
-    collect_summaries(
-        analysis::lint_guest_source(
-            router::word_stream_checksum_source("router.to_cpu", "router.from_cpu"),
-            "<builtin:checksum_gdb>", diags, options),
-        "<builtin:checksum_gdb>");
+    collect_summaries(analysis::lint_guest_source(
+        router::word_stream_checksum_source("router.to_cpu", "router.from_cpu"),
+        "<builtin:checksum_gdb>", diags, options));
     collect_summaries(
         analysis::lint_guest_source(rtos::guest_abi_prelude() + router::bulk_checksum_source(),
-                                    "<builtin:checksum_driver>", diags, options),
-        "<builtin:checksum_driver>");
+                                    "<builtin:checksum_driver>", diags, options));
   }
 
   for (const std::string& path : frame_files) {
@@ -368,7 +362,7 @@ int main(int argc, char** argv) {
   }
 
   // Model-check the protocol automata; violations become NL41x errors.
-  std::string protocol_json;
+  std::vector<analysis::ExploreReport> reports;
   if (protocol) {
     analysis::EnvOptions env =
         custom_env ? *custom_env
@@ -382,7 +376,6 @@ int main(int argc, char** argv) {
     } else {
       ids = {*analysis::model_from_name(model_filter)};
     }
-    protocol_json = "\"protocol\":[";
     for (std::size_t i = 0; i < ids.size(); ++i) {
       analysis::EnvOptions model_env = env;
       if (ids[i] == analysis::ModelId::Worker && faults && !custom_env) {
@@ -394,10 +387,9 @@ int main(int argc, char** argv) {
         model_env.crashing = true;
       }
       const analysis::ProtocolModel model = analysis::make_model(ids[i], model_options);
-      const analysis::ExploreReport report = analysis::explore(model, model_env);
+      const analysis::ExploreReport& report =
+          reports.emplace_back(analysis::explore(model, model_env));
       analysis::report_violations(report, diags);
-      if (i > 0) protocol_json += ",";
-      protocol_json += analysis::render_json(report);
       if (!json) std::fputs(analysis::render_text(report).c_str(), stdout);
       if (!emit_test_dir.empty()) {
         std::error_code ec;
@@ -416,37 +408,43 @@ int main(int argc, char** argv) {
         }
       }
     }
-    protocol_json += "]";
   }
 
-  // Extra --json members: the protocol exploration, the per-file
-  // interprocedural summary dumps, and the --stats precision counters (all
-  // optional, schema stays 1).
-  std::string extra_json = protocol_json;
-  if (!summaries_json.empty()) {
-    if (!extra_json.empty()) extra_json += ",";
-    extra_json += "\"summaries\":[" + summaries_json + "]";
+  // The --json report: the diagnostics, then the optional members — the
+  // protocol exploration, the per-file interprocedural summary dumps, and
+  // the --stats precision counters (schema stays 1).
+  util::JsonWriter w;
+  w.begin_object();
+  analysis::render_json(w, diags);
+  if (protocol) {
+    w.key("protocol").begin_array();
+    for (const analysis::ExploreReport& report : reports) analysis::render_json(w, report);
+    w.end_array();
+  }
+  if (!summaries.empty()) {
+    w.key("summaries").begin_array();
+    for (const std::string& summary : summaries) w.raw(summary);
+    w.end_array();
   }
   if (stats_flag) {
-    if (!extra_json.empty()) extra_json += ",";
-    extra_json += "\"stats\":{\"context_k\":" + std::to_string(options.context_k) +
-                  ",\"functions\":" + std::to_string(stats_total.functions) +
-                  ",\"clones\":" + std::to_string(stats_total.clones) +
-                  ",\"havoc_summaries\":" + std::to_string(stats_total.havoc_summaries) +
-                  ",\"narrowing_iterations\":" + std::to_string(stats_total.narrowing_iterations) +
-                  ",\"clone_overflows\":" + std::to_string(stats_total.clone_overflows) + "}";
+    w.key("stats").begin_object().key("context_k").value(options.context_k);
+    w.key("functions").value(stats_total.functions).key("clones").value(stats_total.clones);
+    w.key("havoc_summaries").value(stats_total.havoc_summaries);
+    w.key("narrowing_iterations").value(stats_total.narrowing_iterations);
+    w.key("clone_overflows").value(stats_total.clone_overflows).end_object();
   }
+  const std::string& report_json = w.end_object().str();
 
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    out << analysis::render_json(diags, extra_json) << '\n';
+    out << report_json << '\n';
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 2;
     }
   }
   if (json) {
-    std::fputs(analysis::render_json(diags, extra_json).c_str(), stdout);
+    std::fputs(report_json.c_str(), stdout);
     std::fputc('\n', stdout);
   } else {
     std::fputs(analysis::render_text(diags).c_str(), stdout);

@@ -9,10 +9,14 @@
 //   cosim_stat --check-bench CUR.json --baseline BASE.json
 //              [--max-regress-pct N]      exit 1 when any shared result's
 //                                         median regressed more than N%
-//                                         (default 15)
+//                                         (default 15); repeat either flag
+//                                         to pool the runs of several files
+//                                         per side (interleaved rounds)
 //
 // Both file shapes are the schema-1 documents produced by --stats-out and
 // the bench_json harness; the file kind is sniffed from its fields.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +35,7 @@ int fail_usage() {
   std::fprintf(stderr,
                "usage: cosim_stat FILE.json\n"
                "       cosim_stat diff A.json B.json\n"
-               "       cosim_stat --check-bench CURRENT.json --baseline BASELINE.json"
+               "       cosim_stat --check-bench CURRENT.json... --baseline BASELINE.json..."
                " [--max-regress-pct N]\n");
   return 2;
 }
@@ -80,23 +84,43 @@ const JsonValue* find_result(const JsonValue& doc, const std::string& name) {
   return nullptr;
 }
 
-int check_bench(const std::string& current_path, const std::string& baseline_path,
-                double max_regress_pct) {
-  const JsonValue current = nisc::util::parse_json_file(current_path);
-  const JsonValue baseline = nisc::util::parse_json_file(baseline_path);
+std::vector<JsonValue> parse_files(const std::vector<std::string>& paths) {
+  std::vector<JsonValue> docs;
+  for (const std::string& path : paths) docs.push_back(nisc::util::parse_json_file(path));
+  return docs;
+}
+
+/// Median (the upper one for an even count) of every run of `name` pooled
+/// across `docs`; NaN when no file has it.
+double pooled_median(const std::vector<JsonValue>& docs, const std::string& name) {
+  std::vector<double> runs;
+  for (const JsonValue& doc : docs) {
+    if (const JsonValue* r = find_result(doc, name)) {
+      for (const JsonValue& run : r->at("runs").as_array()) runs.push_back(run.as_double());
+    }
+  }
+  if (runs.empty()) return std::nan("");
+  std::nth_element(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(runs.size() / 2),
+                   runs.end());
+  return runs[runs.size() / 2];
+}
+
+int check_bench(const std::vector<std::string>& current_paths,
+                const std::vector<std::string>& baseline_paths, double max_regress_pct) {
+  const std::vector<JsonValue> current = parse_files(current_paths);
+  const std::vector<JsonValue> baseline = parse_files(baseline_paths);
   std::printf("%-44s %14s %14s %9s\n", "result", "baseline", "current", "delta");
   int regressions = 0;
   int compared = 0;
-  for (const JsonValue& base : baseline.at("results").as_array()) {
+  for (const JsonValue& base : baseline.front().at("results").as_array()) {
     const std::string& name = base.at("name").as_string();
-    const JsonValue* cur = find_result(current, name);
-    if (cur == nullptr) {
+    const double cur_median = pooled_median(current, name);
+    if (std::isnan(cur_median)) {
       std::printf("%-44s %14s %14s %9s\n", name.c_str(), "-", "missing", "-");
       continue;
     }
-    const double base_median = base.at("median").as_double();
-    const double cur_median = cur->at("median").as_double();
-    if (base_median <= 0.0) continue;
+    const double base_median = pooled_median(baseline, name);
+    if (!(base_median > 0.0)) continue;
     ++compared;
     const double delta_pct = (cur_median - base_median) / base_median * 100.0;
     // Seconds-like units: larger is slower. Non-time units (%, loc, ...)
@@ -109,7 +133,7 @@ int check_bench(const std::string& current_path, const std::string& baseline_pat
   }
   if (compared == 0) {
     std::fprintf(stderr, "cosim_stat: no comparable results between %s and %s\n",
-                 current_path.c_str(), baseline_path.c_str());
+                 current_paths.front().c_str(), baseline_paths.front().c_str());
     return 2;
   }
   if (regressions > 0) {
@@ -246,15 +270,15 @@ int main(int argc, char** argv) {
   }
   if (argc > 1 && std::strcmp(argv[1], "diff") == 0) return fail_usage();
   std::vector<std::string> files;
-  std::string check_current;
-  std::string baseline;
+  std::vector<std::string> check_current;
+  std::vector<std::string> baseline;
   double max_regress_pct = 15.0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--check-bench") == 0 && i + 1 < argc) {
-      check_current = argv[++i];
+      check_current.push_back(argv[++i]);
     } else if (std::strcmp(arg, "--baseline") == 0 && i + 1 < argc) {
-      baseline = argv[++i];
+      baseline.push_back(argv[++i]);
     } else if (std::strcmp(arg, "--max-regress-pct") == 0 && i + 1 < argc) {
       max_regress_pct = std::atof(argv[++i]);
     } else if (arg[0] == '-') {

@@ -13,10 +13,11 @@
 //       dumps), merged.json (the supervisor's native merge) and
 //       merged_from_files.json (the same merge reproduced through the merge
 //       subcommand's code path). The CI perf-smoke job uploads the result.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "util/json.hpp"
 
 using nisc::util::JsonValue;
+using nisc::util::JsonWriter;
 
 namespace {
 
@@ -35,70 +37,6 @@ int fail_usage() {
                "usage: cosim_trace merge --out OUT.json IN.json[:LABEL[:OFFSET_NS]]...\n"
                "       cosim_trace demo --worker PATH [--out-dir DIR]\n");
   return 2;
-}
-
-// -- generic JSON re-emission (util::JsonValue is parse-only) ---------------
-
-void write_json(std::ostream& out, const JsonValue& v) {
-  switch (v.kind()) {
-    case JsonValue::Kind::Null:
-      out << "null";
-      break;
-    case JsonValue::Kind::Bool:
-      out << (v.as_bool() ? "true" : "false");
-      break;
-    case JsonValue::Kind::Number: {
-      const double d = v.as_double();
-      // Integers re-emit exactly; everything else keeps full precision.
-      if (d == static_cast<double>(static_cast<long long>(d))) {
-        out << static_cast<long long>(d);
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-        out << buf;
-      }
-      break;
-    }
-    case JsonValue::Kind::String: {
-      out << '"';
-      for (const char c : v.as_string()) {
-        if (c == '"' || c == '\\') {
-          out << '\\' << c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-      }
-      out << '"';
-      break;
-    }
-    case JsonValue::Kind::Array: {
-      out << '[';
-      bool first = true;
-      for (const JsonValue& item : v.as_array()) {
-        if (!first) out << ',';
-        first = false;
-        write_json(out, item);
-      }
-      out << ']';
-      break;
-    }
-    case JsonValue::Kind::Object: {
-      out << '{';
-      bool first = true;
-      for (const auto& [key, value] : v.as_object()) {
-        if (!first) out << ',';
-        first = false;
-        out << '"' << key << "\":";
-        write_json(out, value);
-      }
-      out << '}';
-      break;
-    }
-  }
 }
 
 // -- merge ------------------------------------------------------------------
@@ -129,41 +67,37 @@ MergeInput parse_merge_input(const std::string& spec) {
   return input;
 }
 
-void emit_event(std::ostream& out, const JsonValue& event, unsigned pid, double offset_us,
-                bool& first) {
-  if (!first) out << ",\n";
-  first = false;
-  out << '{';
-  bool first_field = true;
+void emit_event(JsonWriter& w, const JsonValue& event, unsigned pid, double offset_us) {
+  w.begin_object();
   bool wrote_pid = false;
   for (const auto& [key, value] : event.as_object()) {
-    if (!first_field) out << ',';
-    first_field = false;
-    out << '"' << key << "\":";
+    w.key(key);
     if (key == "pid") {
-      out << pid;
+      w.value(pid);
       wrote_pid = true;
-    } else if (key == "ts" && value.is_number()) {
+    } else if (key == "ts" && value.is_number() && std::isfinite(value.as_double())) {
+      // Chrome ts: microseconds, fixed at three decimals (nanoseconds); a
+      // value too long for that keeps its shortest round-trip spelling.
       double ts = value.as_double() + offset_us;
       if (ts < 0) ts = 0;
       char buf[32];
-      std::snprintf(buf, sizeof buf, "%.3f", ts);
-      out << buf;
+      const auto r = std::to_chars(buf, buf + sizeof buf, ts, std::chars_format::fixed, 3);
+      if (r.ec == std::errc()) {
+        w.raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+      } else {
+        w.value(ts);
+      }
     } else {
-      write_json(out, value);
+      w.value(value);
     }
   }
-  if (!wrote_pid) {
-    if (!first_field) out << ',';
-    out << "\"pid\":" << pid;
-  }
-  out << '}';
+  if (!wrote_pid) w.key("pid").value(pid);
+  w.end_object();
 }
 
 int merge(const std::string& out_path, const std::vector<MergeInput>& inputs) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  bool first = true;
+  JsonWriter w;
+  w.begin_object().key("displayTimeUnit").value("ns").key("traceEvents").begin_array();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const MergeInput& input = inputs[i];
     const unsigned pid = static_cast<unsigned>(i) + 1;
@@ -175,10 +109,9 @@ int merge(const std::string& out_path, const std::vector<MergeInput>& inputs) {
       return 2;
     }
     if (!input.label.empty()) {
-      if (!first) out << ",\n";
-      first = false;
-      out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-          << ",\"tid\":0,\"ts\":0,\"args\":{\"name\":\"" << input.label << "\"}}";
+      w.begin_object().key("name").value("process_name").key("ph").value("M");
+      w.key("pid").value(pid).key("tid").value(0).key("ts").value(0);
+      w.key("args").begin_object().key("name").value(input.label).end_object().end_object();
     }
     for (const JsonValue& event : events->as_array()) {
       if (!event.is_object()) continue;
@@ -191,16 +124,16 @@ int merge(const std::string& out_path, const std::vector<MergeInput>& inputs) {
           continue;
         }
       }
-      emit_event(out, event, pid, offset_us, first);
+      emit_event(w, event, pid, offset_us);
     }
   }
-  out << "\n]}\n";
+  w.end_array().end_object();
   std::ofstream file(out_path, std::ios::binary | std::ios::trunc);
   if (!file) {
     std::fprintf(stderr, "cosim_trace: cannot write %s\n", out_path.c_str());
     return 2;
   }
-  file << out.str();
+  file << w.str();
   std::printf("cosim_trace: merged %zu trace(s) into %s\n", inputs.size(), out_path.c_str());
   return 0;
 }
